@@ -67,6 +67,7 @@ type Report struct {
 	ShedRate           float64 `json:"shed_rate"`
 	ItemsPerSecond     float64 `json:"items_per_second"`
 	CacheHits          int     `json:"cache_hits"`
+	CacheCoalesced     int     `json:"cache_coalesced"`
 	CacheMisses        int     `json:"cache_misses"`
 	CacheHitRate       float64 `json:"cache_hit_rate"`
 	Quality            bool    `json:"quality,omitempty"`
@@ -97,9 +98,9 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "  shed       %d (rate %.1f%%)\n", r.Shed, 100*r.ShedRate)
 	fmt.Fprintf(w, "  timeouts   %d\n", r.Timeouts)
 	fmt.Fprintf(w, "  errors     %d transport, %d validation\n", r.TransportErrors, r.ValidationFailures)
-	if r.CacheHits+r.CacheMisses > 0 {
-		fmt.Fprintf(w, "  cache      %d hits / %d misses (hit rate %.1f%%)\n",
-			r.CacheHits, r.CacheMisses, 100*r.CacheHitRate)
+	if r.CacheHits+r.CacheCoalesced+r.CacheMisses > 0 {
+		fmt.Fprintf(w, "  cache      %d hits / %d coalesced / %d misses (hit rate %.1f%%)\n",
+			r.CacheHits, r.CacheCoalesced, r.CacheMisses, 100*r.CacheHitRate)
 	}
 	if r.Quality {
 		fmt.Fprintf(w, "  quality    budget=%.0fms, %d proven optimal, overshoot p50=%.3f p99=%.3f max=%.3f\n",
@@ -239,12 +240,15 @@ func (a *tally) count(f func(r *Report)) {
 	a.mu.Unlock()
 }
 
-// countCache folds one response's cache marker ("hit", "miss", or ""
-// from a server without a cache) into the report.
+// countCache folds one OK response's cache marker ("hit", "coalesced",
+// "miss", or "" from a server without a cache) into the report, so
+// against a caching server hits + coalesced + misses == ok.
 func countCache(r *Report, status string) {
 	switch status {
 	case "hit":
 		r.CacheHits++
+	case "coalesced":
+		r.CacheCoalesced++
 	case "miss":
 		r.CacheMisses++
 	}
@@ -493,8 +497,9 @@ func runLoad(cfg loadConfig) (*Report, error) {
 	if denom := rep.OK + rep.Shed + rep.Timeouts; denom > 0 {
 		rep.ShedRate = float64(rep.Shed) / float64(denom)
 	}
-	if n := rep.CacheHits + rep.CacheMisses; n > 0 {
-		rep.CacheHitRate = float64(rep.CacheHits) / float64(n)
+	// A coalesced request was answered without computing, like a hit.
+	if n := rep.CacheHits + rep.CacheCoalesced + rep.CacheMisses; n > 0 {
+		rep.CacheHitRate = float64(rep.CacheHits+rep.CacheCoalesced) / float64(n)
 	}
 	if len(acc.served) > 0 {
 		rep.LatencyP50Ms = stats.Quantile(acc.served, 0.50)
@@ -545,16 +550,16 @@ func doSingle(client *http.Client, cfg loadConfig, rng *rand.Rand, src *trafficS
 		cacheStatus := resp.Header.Get("X-Sched-Cache")
 		var sb scheduleBody
 		if err := json.NewDecoder(resp.Body).Decode(&sb); err != nil {
-			acc.count(func(r *Report) { r.ValidationFailures++; countCache(r, cacheStatus) })
+			acc.count(func(r *Report) { r.ValidationFailures++ })
 			return
 		}
 		if err := checkSchedule(g, sb); err != nil {
-			acc.count(func(r *Report) { r.ValidationFailures++; countCache(r, cacheStatus) })
+			acc.count(func(r *Report) { r.ValidationFailures++ })
 			return
 		}
 		if cfg.Quality {
 			if err := checkQuality(sb); err != nil {
-				acc.count(func(r *Report) { r.ValidationFailures++; countCache(r, cacheStatus) })
+				acc.count(func(r *Report) { r.ValidationFailures++ })
 				return
 			}
 			acc.addOvershoot(sb.Quality.ElapsedMs, float64(cfg.Budget)/float64(time.Millisecond))
@@ -630,7 +635,7 @@ func doBatch(client *http.Client, cfg loadConfig, rng *rand.Rand, src *trafficSo
 				continue
 			}
 			if err := checkSchedule(picked[body.Index], body); err != nil {
-				acc.count(func(r *Report) { r.Items++; r.ValidationFailures++; countCache(r, body.Cache) })
+				acc.count(func(r *Report) { r.Items++; r.ValidationFailures++ })
 				continue
 			}
 			acc.count(func(r *Report) { r.Items++; r.OK++; countCache(r, body.Cache) })

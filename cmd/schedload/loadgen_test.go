@@ -22,6 +22,9 @@ type stubOptions struct {
 	shedEvery  int64
 	serveDelay time.Duration
 	cacheAware bool
+	// coalesceSecond marks a graph's second sighting coalesced, as if
+	// it had waited on the first one's computation.
+	coalesceSecond bool
 	// qualityFactor, when positive, makes the stub answer ?quality=best
 	// with a quality block whose elapsed_ms is factor × the requested
 	// budget (so overshoot ratios are deterministic). Zero means the
@@ -43,7 +46,7 @@ func stubServeOpts(t *testing.T, opts stubOptions) *httptest.Server {
 	t.Helper()
 	var n atomic.Int64
 	var mu sync.Mutex
-	seen := make(map[dag.Fingerprint]bool)
+	seen := make(map[dag.Fingerprint]int)
 	cacheStatus := func(g *dag.Graph) string {
 		if !opts.cacheAware {
 			return ""
@@ -51,11 +54,14 @@ func stubServeOpts(t *testing.T, opts stubOptions) *httptest.Server {
 		fp := g.CanonicalHash()
 		mu.Lock()
 		defer mu.Unlock()
-		if seen[fp] {
-			return "hit"
+		seen[fp]++
+		switch {
+		case seen[fp] == 1:
+			return "miss"
+		case seen[fp] == 2 && opts.coalesceSecond:
+			return "coalesced"
 		}
-		seen[fp] = true
-		return "miss"
+		return "hit"
 	}
 	writeItem := func(w http.ResponseWriter, g *dag.Graph, index int, cache string, budget string) {
 		sc, err := heuristics.Run(mcp.New(), g)
@@ -244,11 +250,34 @@ func TestDupTrafficHitsCache(t *testing.T) {
 	if rep.CacheMisses == 0 || rep.CacheHits == 0 {
 		t.Fatalf("want both misses (first sightings) and hits: %+v", rep)
 	}
-	if rep.CacheHits+rep.CacheMisses != rep.OK {
-		t.Fatalf("cache accounting %d+%d != ok %d", rep.CacheHits, rep.CacheMisses, rep.OK)
+	if rep.CacheHits+rep.CacheCoalesced+rep.CacheMisses != rep.OK {
+		t.Fatalf("cache accounting %d+%d+%d != ok %d", rep.CacheHits, rep.CacheCoalesced, rep.CacheMisses, rep.OK)
 	}
 	if rep.CacheHitRate <= 0 || rep.CacheHitRate >= 1 {
 		t.Fatalf("hit rate = %v, want within (0,1)", rep.CacheHitRate)
+	}
+}
+
+// Coalesced responses get their own count, close the accounting
+// (hits + coalesced + misses == ok) and, answered without computing,
+// count toward the hit rate.
+func TestDupTrafficCountsCoalesced(t *testing.T) {
+	ts := stubServeOpts(t, stubOptions{cacheAware: true, coalesceSecond: true})
+	cfg := shortLoadConfig(ts.URL)
+	cfg.Dup = 1.0
+	rep, err := runLoad(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ValidationFailures != 0 || rep.CacheCoalesced == 0 || rep.CacheMisses == 0 {
+		t.Fatalf("want misses and coalesced responses: %+v", rep)
+	}
+	if rep.CacheHits+rep.CacheCoalesced+rep.CacheMisses != rep.OK {
+		t.Fatalf("cache accounting %d+%d+%d != ok %d", rep.CacheHits, rep.CacheCoalesced, rep.CacheMisses, rep.OK)
+	}
+	want := float64(rep.CacheHits+rep.CacheCoalesced) / float64(rep.OK)
+	if rep.CacheHitRate != want {
+		t.Fatalf("hit rate = %v, want %v", rep.CacheHitRate, want)
 	}
 }
 
@@ -291,8 +320,8 @@ func TestBatchDupCacheCounts(t *testing.T) {
 	if rep.CacheHits == 0 {
 		t.Fatalf("no cache hits across %d duplicate batch items", rep.Items)
 	}
-	if rep.CacheHits+rep.CacheMisses != rep.OK {
-		t.Fatalf("cache accounting %d+%d != ok %d", rep.CacheHits, rep.CacheMisses, rep.OK)
+	if rep.CacheHits+rep.CacheCoalesced+rep.CacheMisses != rep.OK {
+		t.Fatalf("cache accounting %d+%d+%d != ok %d", rep.CacheHits, rep.CacheCoalesced, rep.CacheMisses, rep.OK)
 	}
 }
 

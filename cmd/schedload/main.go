@@ -12,7 +12,7 @@
 // server's content-addressed schedule cache; the rest are
 // content-unique weight perturbations. Responses the server marks as
 // cache hits are re-validated against a fresh local rebuild exactly
-// like uncached ones, and the report carries hit/miss counts.
+// like uncached ones, and the report carries hit/coalesced/miss counts.
 //
 // Exit status is 1 if any response failed validation or any transport
 // error occurred; load shedding (429) and request timeouts (503) are

@@ -131,14 +131,14 @@ func TestScheduleBatchCacheField(t *testing.T) {
 		switch l.Cache {
 		case "miss":
 			misses++
-		case "hit":
+		case "hit", "coalesced": // identical items may share one flight
 			hits++
 		default:
 			t.Fatalf("line %d cache = %q", i, l.Cache)
 		}
 	}
 	if misses != 1 || hits != 2 {
-		t.Fatalf("%d misses / %d hits, want 1 / 2", misses, hits)
+		t.Fatalf("%d misses / %d hits or coalesced, want 1 / 2", misses, hits)
 	}
 }
 

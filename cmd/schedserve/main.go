@@ -69,7 +69,7 @@ func run() int {
 		queue   = flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 
 		cacheEntries = flag.Int("cache-entries", 4096, "schedule cache capacity in entries (0 disables the cache)")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "schedule cache budget in approximate bytes")
+		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "schedule cache budget in bytes retained by its entries")
 	)
 	flag.Parse()
 

@@ -229,6 +229,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// The per-(path, code) request counters are resolved once and reused;
+// each request must still land on the counter of its own status code.
+func TestRequestCountersPerCode(t *testing.T) {
+	ts := newTestServer(t, serverOptions{})
+	counter := func(code string) *obs.Counter {
+		return obs.Default().Counter("serve_requests_total", "Requests by path and status code.",
+			obs.L("path", "/schedule"), obs.L("code", code))
+	}
+	ok0, bad0 := counter("200").Value(), counter("400").Value()
+	body := sampleDAG(t)
+	for i := 0; i < 3; i++ {
+		if resp := postSchedule(t, ts, "?heuristic=MCP", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+	}
+	if resp := postSchedule(t, ts, "?heuristic=NOPE", body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown heuristic: status = %d", resp.StatusCode)
+	}
+	if got := counter("200").Value() - ok0; got != 3 {
+		t.Fatalf("code 200 counted %d times, want 3", got)
+	}
+	if got := counter("400").Value() - bad0; got != 1 {
+		t.Fatalf("code 400 counted %d times, want 1", got)
+	}
+}
+
 func TestHeuristicsEndpoint(t *testing.T) {
 	ts := newTestServer(t, serverOptions{})
 	resp, err := http.Get(ts.URL + "/heuristics")

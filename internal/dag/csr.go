@@ -75,34 +75,32 @@ func (g *Graph) csrLocked() *CSR {
 
 // buildCSR flattens both adjacency mirrors into contiguous arrays. Two
 // backing allocations per direction (IDs and weights) plus the offset
-// arrays — six total, whatever the node count.
+// arrays — six total, whatever the node count — each filled by append
+// within its exact capacity.
 func (g *Graph) buildCSR() *CSR {
 	n := len(g.weights)
-	csr := &CSR{
+	succOff, succTo, succW := make([]int32, 0, n+1), make([]NodeID, 0, g.edges), make([]int64, 0, g.edges)
+	predOff, predFrom, predW := make([]int32, 0, n+1), make([]NodeID, 0, g.edges), make([]int64, 0, g.edges)
+	pred := g.pred[:len(g.succ)]
+	for v, arcs := range g.succ {
+		succOff = append(succOff, int32(len(succTo)))
+		for _, a := range arcs {
+			succTo = append(succTo, a.To)
+			succW = append(succW, a.Weight)
+		}
+		predOff = append(predOff, int32(len(predFrom)))
+		for _, a := range pred[v] {
+			predFrom = append(predFrom, a.To)
+			predW = append(predW, a.Weight)
+		}
+	}
+	return &CSR{
 		n:        n,
-		SuccOff:  make([]int32, n+1),
-		SuccTo:   make([]NodeID, g.edges),
-		SuccW:    make([]int64, g.edges),
-		PredOff:  make([]int32, n+1),
-		PredFrom: make([]NodeID, g.edges),
-		PredW:    make([]int64, g.edges),
+		SuccOff:  append(succOff, int32(len(succTo))),
+		SuccTo:   succTo,
+		SuccW:    succW,
+		PredOff:  append(predOff, int32(len(predFrom))),
+		PredFrom: predFrom,
+		PredW:    predW,
 	}
-	var so, po int32
-	for v := 0; v < n; v++ {
-		csr.SuccOff[v] = so
-		for _, a := range g.succ[v] {
-			csr.SuccTo[so] = a.To
-			csr.SuccW[so] = a.Weight
-			so++
-		}
-		csr.PredOff[v] = po
-		for _, a := range g.pred[v] {
-			csr.PredFrom[po] = a.To
-			csr.PredW[po] = a.Weight
-			po++
-		}
-	}
-	csr.SuccOff[n] = so
-	csr.PredOff[n] = po
-	return csr
 }

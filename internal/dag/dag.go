@@ -120,15 +120,32 @@ func (g *Graph) AddEdge(from, to NodeID, weight int64) error {
 	return nil
 }
 
-// addEdgeUnchecked inserts an edge whose endpoints, weight and
-// uniqueness the caller has already verified. The wire decoder and the
-// canonical clone use it to skip AddEdge's linear duplicate scan, which
-// is quadratic in the out-degree for hub-shaped graphs.
-func (g *Graph) addEdgeUnchecked(from, to NodeID, weight int64) {
-	g.succ[from] = append(g.succ[from], Arc{To: to, Weight: weight})
-	g.pred[to] = append(g.pred[to], Arc{To: from, Weight: weight})
-	g.edges++
-	g.invalidate()
+// carve returns per-node adjacency lists over one exact-size backing
+// array. deg holds the n out-degrees followed by the n in-degrees:
+// node v's successor list is a zero-length window of capacity deg[v],
+// its predecessor list one of capacity deg[n+v]. Appending a node's
+// arcs never reallocates, and the capped capacities make a later
+// mutator's append copy rather than overwrite the next window. The
+// wire decoder and the canonical clone build through it instead of
+// AddEdge, whose duplicate scan is quadratic in the out-degree for
+// hub-shaped graphs.
+func carve(deg []int32, edges int) (succ, pred [][]Arc) {
+	lists := make([][]Arc, len(deg))
+	arcs := make([]Arc, 2*edges)
+	off := int32(0)
+	for v, d := range deg {
+		lists[v] = arcs[off : off : off+d] //lint:boundedidx the degrees sum to len(arcs), so every window ends inside it
+		off += d
+	}
+	n := len(deg) / 2
+	return lists[:n:n], lists[n:]
+}
+
+// link appends the edge from→to to both of its endpoints' adjacency
+// lists.
+func link(succ, pred [][]Arc, from, to NodeID, w int64) {
+	succ[from] = append(succ[from], Arc{To: to, Weight: w})
+	pred[to] = append(pred[to], Arc{To: from, Weight: w})
 }
 
 // MustAddEdge is AddEdge that panics on error; for hand-built graphs in

@@ -1,11 +1,11 @@
 package dag
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"slices"
-	"sort"
 )
 
 // Canonical content hashing.
@@ -86,42 +86,43 @@ func (g *Graph) CanonicalEncoding() []byte {
 // CanonicalClone returns a fresh copy of the graph relabeled into
 // canonical index space (node v of the receiver becomes node
 // CanonicalPerm()[v] of the clone), with an empty name and edges
-// inserted in canonical order. Any two graphs with equal canonical
-// encodings produce byte-identical clones, so a deterministic
-// algorithm run on the clone gives the same answer no matter which
-// member of the isomorphism class it came from.
+// inserted in canonical (from, to) order. Any two graphs with equal
+// canonical encodings produce byte-identical clones, so a
+// deterministic algorithm run on the clone gives the same answer no
+// matter which member of the isomorphism class it came from.
 func (g *Graph) CanonicalClone() *Graph {
 	g.mu.Lock()
-	ci := g.canonicalLocked()
-	perm := ci.perm
+	defer g.mu.Unlock()
 	n := len(g.weights)
-	weights := make([]int64, n)
-	for v, w := range g.weights {
-		weights[perm[v]] = w
+	perm := g.canonicalLocked().perm[:n]
+	succ, pred := g.succ[:n], g.pred[:n]
+	c := &Graph{weights: make([]int64, n), edges: g.edges}
+	deg := make([]int32, 2*n)
+	for v, cv := range perm {
+		c.weights[cv] = g.weights[v]
+		deg[cv] = int32(len(succ[v]))
+		deg[n+int(cv)] = int32(len(pred[v]))
 	}
-	edges := make([]Edge, 0, g.edges)
-	for u := range g.succ {
-		for _, a := range g.succ[u] {
-			edges = append(edges, Edge{From: perm[u], To: perm[a.To], Weight: a.Weight})
+	c.succ, c.pred = carve(deg, g.edges)
+	for u, arcs := range succ {
+		out := &c.succ[perm[u]]
+		for _, a := range arcs {
+			*out = append(*out, Arc{To: perm[a.To], Weight: a.Weight})
 		}
+		slices.SortFunc(*out, cmpArcTo)
 	}
-	g.mu.Unlock()
-
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	// Sources in canonical order fill every predecessor list in
+	// ascending source order: (from, to) insertion order.
+	for cu, arcs := range c.succ {
+		for _, a := range arcs {
+			c.pred[a.To] = append(c.pred[a.To], Arc{To: NodeID(cu), Weight: a.Weight})
 		}
-		return edges[i].To < edges[j].To
-	})
-	c := New("")
-	for _, w := range weights {
-		c.AddNode(w)
-	}
-	for _, e := range edges {
-		c.addEdgeUnchecked(e.From, e.To, e.Weight)
 	}
 	return c
 }
+
+// cmpArcTo orders arcs by neighbour.
+func cmpArcTo(a, b Arc) int { return cmp.Compare(a.To, b.To) }
 
 // canonicalLocked returns the memoized canonical form, computing it on
 // first use. The graph's mutex must be held.
@@ -212,17 +213,21 @@ func (r *refiner) mixArcs(h uint64, colors []uint64, to []NodeID, w []int64) uin
 	for i, u := range to {
 		pairs = append(pairs, colorArc{c: colors[u], w: w[i]})
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].c != pairs[j].c {
-			return pairs[i].c < pairs[j].c
-		}
-		return pairs[i].w < pairs[j].w
-	})
+	slices.SortFunc(pairs, cmpColorArc)
 	for _, p := range pairs {
 		h = mix2(h, mix2(uint64(p.w), p.c))
 	}
 	r.pairs = pairs
 	return h
+}
+
+// cmpColorArc orders signature pairs by colour, then weight. Equal
+// pairs are identical, so any sort yields the same sequence.
+func cmpColorArc(a, b colorArc) int {
+	if a.c != b.c {
+		return cmp.Compare(a.c, b.c)
+	}
+	return cmp.Compare(a.w, b.w)
 }
 
 // refine runs WL rounds on colors until the partition stops refining,
@@ -300,12 +305,11 @@ func (g *Graph) computeCanonical() *canonInfo {
 	for v := range byColor {
 		byColor[v] = NodeID(v)
 	}
-	sort.Slice(byColor, func(i, j int) bool {
-		a, b := byColor[i], byColor[j]
+	slices.SortFunc(byColor, func(a, b NodeID) int {
 		if r.colors[a] != r.colors[b] {
-			return r.colors[a] < r.colors[b]
+			return cmp.Compare(r.colors[a], r.colors[b])
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	perm := make([]NodeID, n)
 	for rank, v := range byColor {
@@ -348,16 +352,17 @@ func (g *Graph) encodeCanonical(perm []NodeID) []byte {
 		w        int64
 	}
 	edges := make([]triple, 0, g.edges)
-	for u := range g.succ {
-		for _, a := range g.succ[u] {
-			edges = append(edges, triple{from: perm[u], to: perm[a.To], w: a.Weight})
+	for u, arcs := range g.succ {
+		from := perm[u]
+		for _, a := range arcs {
+			edges = append(edges, triple{from: from, to: perm[a.To], w: a.Weight})
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
+	slices.SortFunc(edges, func(a, b triple) int {
+		if a.from != b.from {
+			return cmp.Compare(a.from, b.from)
 		}
-		return edges[i].to < edges[j].to
+		return cmp.Compare(a.to, b.to)
 	})
 	enc = binary.AppendUvarint(enc, uint64(len(edges)))
 	for _, e := range edges {

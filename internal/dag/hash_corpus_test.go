@@ -2,6 +2,8 @@ package dag_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"schedcomp/internal/corpus"
@@ -15,11 +17,17 @@ import (
 // if the canonical encodings differ too (equal encodings mean the
 // graphs genuinely are isomorphic, which random generation never
 // produces in practice — so both cases are reported fatally).
+//
+// The full run also pins every fingerprint: the SHA-256 over the
+// corpus's fingerprints in generation order must not move, so work on
+// the hashing code cannot silently change a single graph's identity.
 func TestCanonicalHashCorpusCollisions(t *testing.T) {
+	const pinned = "08c91eda96ff67c97c9d12f3ed8110d6ffab760340848234dd41c472758bff33"
 	spec := corpus.PaperSpec(42)
 	if testing.Short() {
 		spec = corpus.SmallSpec(42)
 	}
+	digest := sha256.New()
 	c, err := corpus.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +38,7 @@ func TestCanonicalHashCorpusCollisions(t *testing.T) {
 		for _, g := range set.Graphs {
 			graphs++
 			fp := g.CanonicalHash()
+			digest.Write(fp[:])
 			prev, dup := seen[fp]
 			if !dup {
 				seen[fp] = g
@@ -47,4 +56,7 @@ func TestCanonicalHashCorpusCollisions(t *testing.T) {
 		t.Fatalf("%d graphs produced %d fingerprints", graphs, len(seen))
 	}
 	t.Logf("%d corpus graphs, %d distinct fingerprints", graphs, len(seen))
+	if got := fmt.Sprintf("%x", digest.Sum(nil)); !testing.Short() && got != pinned {
+		t.Fatalf("corpus fingerprint digest %s, pinned %s", got, pinned)
+	}
 }

@@ -48,54 +48,15 @@ const MaxWireName = 1024
 // so the wire format is exactly one JSON value.
 var ErrTrailingData = errors.New("dag: trailing data after graph JSON")
 
-// UnmarshalJSON decodes a graph previously written by MarshalJSON. The
-// decoded graph is fully validated: bounded name, positive bounded
-// weights, in-range endpoints, no self loops or duplicate edges, and
-// acyclic. Edge checks run in O(E) via a set — the AddEdge path's
-// per-insert duplicate scan is O(out-degree), which an adversarial
-// hub-shaped body turns into O(E²) work before validation can reject
-// it.
+// UnmarshalJSON decodes a graph previously written by MarshalJSON,
+// validated as fromWire describes.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return err
 	}
-	if len(jg.Name) > MaxWireName {
-		return fmt.Errorf("dag: name of %d bytes exceeds limit %d", len(jg.Name), MaxWireName)
-	}
-	ng := New(jg.Name)
-	for i, w := range jg.Nodes {
-		if w <= 0 {
-			return fmt.Errorf("dag: node %d has non-positive weight %d", i, w)
-		}
-		if w > MaxWireWeight {
-			return fmt.Errorf("dag: node %d weight %d exceeds limit %d", i, w, int64(MaxWireWeight))
-		}
-		ng.AddNode(w)
-	}
-	n := len(jg.Nodes)
-	seen := make(map[[2]int32]struct{}, len(jg.Edges))
-	for _, e := range jg.Edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
-			return fmt.Errorf("%w: %d -> %d in graph of %d nodes", ErrNoSuchNode, e.From, e.To, n)
-		}
-		if e.From == e.To {
-			return fmt.Errorf("%w: %d", ErrSelfLoop, e.From)
-		}
-		if e.Weight < 0 {
-			return fmt.Errorf("%w: %d", ErrBadWeight, e.Weight)
-		}
-		if e.Weight > MaxWireWeight {
-			return fmt.Errorf("dag: edge %d->%d weight %d exceeds limit %d", e.From, e.To, e.Weight, int64(MaxWireWeight))
-		}
-		k := [2]int32{e.From, e.To}
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("%w: %d -> %d", ErrDuplicateEdge, e.From, e.To)
-		}
-		seen[k] = struct{}{}
-		ng.addEdgeUnchecked(NodeID(e.From), NodeID(e.To), e.Weight)
-	}
-	if err := ng.Validate(); err != nil {
+	ng, err := fromWire(&jg)
+	if err != nil {
 		return err
 	}
 	// Field-wise assignment: Graph holds a mutex, so the struct must
@@ -109,18 +70,84 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// fromWire builds and fully validates a decoded wire graph: bounded
+// name, positive bounded weights, in-range endpoints, no self loops or
+// duplicate edges, and acyclic. The graph takes ownership of
+// jg.Nodes. Every check is O(V+E): duplicates are found by stamping
+// each successor list, where AddEdge's per-insert scan is
+// O(out-degree) and an adversarial hub-shaped body would turn it into
+// O(E²) work before validation could reject it. Arcs keep wire order.
+func fromWire(jg *jsonGraph) (*Graph, error) {
+	if len(jg.Name) > MaxWireName {
+		return nil, fmt.Errorf("dag: name of %d bytes exceeds limit %d", len(jg.Name), MaxWireName)
+	}
+	for i, w := range jg.Nodes {
+		if w <= 0 {
+			return nil, fmt.Errorf("dag: node %d has non-positive weight %d", i, w)
+		}
+		if w > MaxWireWeight {
+			return nil, fmt.Errorf("dag: node %d weight %d exceeds limit %d", i, w, int64(MaxWireWeight))
+		}
+	}
+	n := len(jg.Nodes)
+	deg := make([]int32, 2*n)
+	out, in := deg[:n], deg[n:]
+	for _, e := range jg.Edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			return nil, fmt.Errorf("%w: %d -> %d in graph of %d nodes", ErrNoSuchNode, e.From, e.To, n)
+		}
+		if e.From == e.To {
+			return nil, fmt.Errorf("%w: %d", ErrSelfLoop, e.From)
+		}
+		if e.Weight < 0 {
+			return nil, fmt.Errorf("%w: %d", ErrBadWeight, e.Weight)
+		}
+		if e.Weight > MaxWireWeight {
+			return nil, fmt.Errorf("dag: edge %d->%d weight %d exceeds limit %d", e.From, e.To, e.Weight, int64(MaxWireWeight))
+		}
+		out[e.From]++
+		in[e.To]++
+	}
+	g := &Graph{name: jg.Name, weights: jg.Nodes, edges: len(jg.Edges)}
+	g.succ, g.pred = carve(deg, len(jg.Edges))
+	for _, e := range jg.Edges {
+		link(g.succ, g.pred, NodeID(e.From), NodeID(e.To), e.Weight)
+	}
+	// The degrees are spent: reuse them as stamps, last[v] = u+1 once
+	// u->v has been seen, so a second u->v finds its own mark.
+	last := out
+	clear(last)
+	for u, arcs := range g.succ {
+		for _, a := range arcs {
+			if last[a.To] == int32(u)+1 {
+				return nil, fmt.Errorf("%w: %d -> %d", ErrDuplicateEdge, u, a.To)
+			}
+			last[a.To] = int32(u) + 1
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // WriteJSON writes the graph to w as a single JSON object.
 func (g *Graph) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(g)
 }
 
-// ReadJSON decodes exactly one graph from r; anything but whitespace
-// after the object is rejected with ErrTrailingData.
+// ReadJSON decodes exactly one graph from r, validated as fromWire
+// describes; anything but whitespace after the object is rejected with
+// ErrTrailingData.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	dec := json.NewDecoder(r)
-	g := New("")
-	if err := dec.Decode(g); err != nil {
+	var jg jsonGraph
+	if err := dec.Decode(&jg); err != nil {
+		return nil, err
+	}
+	g, err := fromWire(&jg)
+	if err != nil {
 		return nil, err
 	}
 	if _, err := dec.Token(); err != io.EOF {

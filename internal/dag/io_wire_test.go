@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -122,5 +123,39 @@ func TestWireRoundTripStillWorks(t *testing.T) {
 	}
 	if w, ok := got.EdgeWeight(b, c); !ok || w != 0 {
 		t.Fatal("zero-weight edge lost")
+	}
+}
+
+// Decoded adjacency lives in windows carved from one backing array. The
+// duplicate stamp must catch a repeat anywhere in a source's list
+// without confusing two sources that share a target, arcs keep wire
+// order, and mutating a decoded graph must never write into a
+// neighbouring node's window.
+func TestWireCarvedAdjacency(t *testing.T) {
+	mustReject(t, `{"nodes":[1,1,1],"edges":[{"from":0,"to":2,"weight":1},{"from":0,"to":1,"weight":1},{"from":0,"to":2,"weight":3}]}`, dag.ErrDuplicateEdge)
+	g, err := dag.ReadJSON(strings.NewReader(`{"nodes":[1,1,1,1],"edges":[` +
+		`{"from":0,"to":3,"weight":1},{"from":1,"to":3,"weight":2},{"from":0,"to":2,"weight":3},{"from":1,"to":2,"weight":4}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(what string, got, want []dag.Arc) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+	}
+	want("Succs(0)", g.Succs(0), []dag.Arc{{To: 3, Weight: 1}, {To: 2, Weight: 3}})
+	want("Preds(3)", g.Preds(3), []dag.Arc{{To: 0, Weight: 1}, {To: 1, Weight: 2}})
+
+	g.MustAddEdge(0, 1, 9) // appends past node 0's full successor window
+	v := g.AddNode(5)      // appends past the per-node list arrays
+	g.MustAddEdge(v, 0, 7)
+	want("Succs(0)", g.Succs(0), []dag.Arc{{To: 3, Weight: 1}, {To: 2, Weight: 3}, {To: 1, Weight: 9}})
+	want("Succs(1)", g.Succs(1), []dag.Arc{{To: 3, Weight: 2}, {To: 2, Weight: 4}})
+	want("Preds(0)", g.Preds(0), []dag.Arc{{To: v, Weight: 7}})
+	want("Preds(1)", g.Preds(1), []dag.Arc{{To: 0, Weight: 9}})
+	want("Preds(2)", g.Preds(2), []dag.Arc{{To: 0, Weight: 3}, {To: 1, Weight: 4}})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,7 +7,7 @@
 //
 // The cache is sharded (2^k shards, each with its own mutex, LRU list
 // and lookup map) so that concurrent requests rarely contend, bounded
-// by both entry count and approximate resident bytes, and deduplicates
+// by both entry count and resident bytes, and deduplicates
 // concurrent identical requests with per-key singleflight: one caller
 // computes, the rest wait and share the result.
 //
@@ -23,7 +23,9 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
+	"unsafe"
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/obs"
@@ -76,8 +78,8 @@ type Config struct {
 	// MaxEntries bounds the total number of cached schedules across
 	// all shards. Default 4096.
 	MaxEntries int
-	// MaxBytes bounds the approximate resident size of cached
-	// schedules and encodings across all shards. Default 64 MiB.
+	// MaxBytes bounds the resident bytes of all entries across all
+	// shards, as counted by sizeOf. Default 64 MiB.
 	MaxBytes int64
 }
 
@@ -89,9 +91,9 @@ const (
 
 // entry is one cached schedule. enc is an owned copy of the canonical
 // encoding (never a shared view of a graph's analysis cache); sched is
-// in canonical index space and shared read-only with every caller, as
-// is meta (opaque compute-provided provenance, e.g. the anytime tier's
-// proven bound).
+// a detached canonical-space schedule (Graph nil, see detach) shared
+// read-only with every caller, as is meta (opaque compute-provided
+// provenance, e.g. the anytime tier's proven bound).
 type entry struct {
 	key   Key
 	enc   []byte
@@ -226,21 +228,40 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[h&c.mask]
 }
 
-// sizeOf approximates the resident cost of one entry: the owned
-// encoding plus the schedule's assignment array and the canonical
-// clone graph the schedule points at (CSR-free, roughly the encoding
-// again), plus fixed bookkeeping.
-func sizeOf(enc []byte, s *sched.Schedule) int64 {
-	const assignmentBytes = 40
-	const fixed = 256
-	return 2*int64(len(enc)) + int64(len(s.ByNode))*assignmentBytes + fixed
+// entryOverhead is the fixed part of an entry's footprint: the entry
+// itself, its detached Schedule header, its LRU list element, and its
+// byKey slot (key plus element pointer, at the map's 7/8 maximum load).
+const entryOverhead = int64(unsafe.Sizeof(entry{}) + unsafe.Sizeof(sched.Schedule{}) +
+	unsafe.Sizeof(list.Element{}) + (unsafe.Sizeof(Key{})+unsafe.Sizeof(&list.Element{}))*8/7)
+
+// sizeOf is the resident cost of one entry: the owned encoding, the
+// detached schedule's assignment array, the boxed meta value, and the
+// fixed overhead. The key's heuristic name is a registry constant and
+// the schedule holds no graph, so nothing else is retained.
+func sizeOf(enc []byte, s *sched.Schedule, meta any) int64 {
+	n := int64(cap(enc)) + int64(cap(s.ByNode))*int64(unsafe.Sizeof(sched.Assignment{})) + entryOverhead
+	if meta != nil {
+		n += int64(reflect.TypeOf(meta).Size())
+	}
+	return n
+}
+
+// detach returns the part of a computed schedule an entry keeps:
+// placement, processor count and makespan, with Graph nil. The
+// canonical clone the schedule was computed on, and every analysis
+// memoized on it, become garbage once the computing request ends;
+// callers rebind a hit to their own graph (serve's remapSchedule).
+func detach(s *sched.Schedule) *sched.Schedule {
+	return &sched.Schedule{ByNode: s.ByNode, NumProcs: s.NumProcs, Makespan: s.Makespan}
 }
 
 // Do returns the schedule for key, computing it with compute on a
 // miss. enc must be the canonical encoding of the graph the key's
 // fingerprint was derived from; it is only read during the call (an
 // owned copy is stored). compute must return a schedule in canonical
-// index space, deterministic for the encoding.
+// index space, deterministic for the encoding, whose ByNode the cache
+// may keep. A miss and its coalesced waiters get compute's own
+// schedule; a hit gets the stored detached copy, whose Graph is nil.
 //
 // Concurrent calls with the same key coalesce: one computes, the rest
 // wait for its result (or their own context, whichever ends first).
@@ -353,11 +374,11 @@ func (c *Cache) store(s *shard, key Key, enc []byte, sc *sched.Schedule, meta an
 	}
 	e := &entry{
 		key:   key,
-		enc:   append([]byte(nil), enc...),
-		sched: sc,
+		enc:   bytes.Clone(enc),
+		sched: detach(sc),
 		meta:  meta,
-		bytes: sizeOf(enc, sc),
 	}
+	e.bytes = sizeOf(e.enc, e.sched, meta)
 	s.byKey[key] = s.lru.PushFront(e)
 	s.bytes += e.bytes
 	c.entries.Add(1)
@@ -385,7 +406,8 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Bytes returns the approximate resident size of all entries.
+// Bytes returns the resident size of all entries, as counted by
+// sizeOf.
 func (c *Cache) Bytes() int64 {
 	var b int64
 	for _, s := range c.shards {

@@ -1,13 +1,17 @@
 package schedcache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/obs"
@@ -22,6 +26,13 @@ func testKey(b byte, heuristic string) Key {
 
 func testSched(n int) *sched.Schedule {
 	return &sched.Schedule{ByNode: make([]sched.Assignment, n), NumProcs: 1, Makespan: int64(n)}
+}
+
+// sameSchedule reports whether got carries want's placement, processor
+// count and makespan: what a hit returns, detached from any graph.
+func sameSchedule(got, want *sched.Schedule) bool {
+	return got != nil && got.NumProcs == want.NumProcs && got.Makespan == want.Makespan &&
+		slices.Equal(got.ByNode, want.ByNode)
 }
 
 func computeOnce(t *testing.T, calls *atomic.Int64, s *sched.Schedule) func(context.Context) (*sched.Schedule, error) {
@@ -44,7 +55,7 @@ func TestHitMissBasics(t *testing.T) {
 		t.Fatalf("first Do: got %v status %v err %v", got, st, err)
 	}
 	got, st, err = c.Do(context.Background(), key, enc, computeOnce(t, &calls, testSched(9)))
-	if err != nil || got != want || st != Hit {
+	if err != nil || !sameSchedule(got, want) || got.Graph != nil || st != Hit {
 		t.Fatalf("second Do: got %v status %v err %v", got, st, err)
 	}
 	if calls.Load() != 1 {
@@ -107,7 +118,8 @@ func TestEntryBudgetEviction(t *testing.T) {
 }
 
 func TestByteBudgetEviction(t *testing.T) {
-	one := sizeOf([]byte("some-encoding"), testSched(4))
+	// An entry is charged for its owned copy of the encoding.
+	one := sizeOf(bytes.Clone([]byte("some-encoding")), testSched(4), nil)
 	c := New(Config{Shards: 1, MaxEntries: 1000, MaxBytes: 2 * one})
 	ctx := context.Background()
 	var calls atomic.Int64
@@ -399,7 +411,7 @@ func TestDoMetaRoundTrip(t *testing.T) {
 		t.Fatal("compute ran on a hit")
 		return nil, nil, nil
 	})
-	if err != nil || sc != want || st != Hit {
+	if err != nil || !sameSchedule(sc, want) || st != Hit {
 		t.Fatalf("hit: sched %v status %v err %v", sc, st, err)
 	}
 	if got, ok := meta.(prov); !ok || got != wantMeta {
@@ -449,7 +461,54 @@ func TestDoMetaRoundTrip(t *testing.T) {
 
 	// Plain Do on a DoMeta-stored entry still works (meta dropped).
 	sc, st, err = c.Do(context.Background(), key, enc, computeOnce(t, new(atomic.Int64), testSched(9)))
-	if err != nil || sc != want || st != Hit {
+	if err != nil || !sameSchedule(sc, want) || st != Hit {
 		t.Fatalf("Do after DoMeta: sched %v status %v err %v", sc, st, err)
+	}
+}
+
+// A stored entry keeps only the answer: once the computing call has
+// returned, the canonical clone the schedule was built on — with every
+// analysis memoized on it — must be collectable, and hits must still
+// serve the schedule.
+func TestStoredEntryDropsCanonicalClone(t *testing.T) {
+	g := dag.New("fork")
+	root := g.AddNode(3)
+	for i := 0; i < 8; i++ {
+		g.MustAddEdge(root, g.AddNode(int64(2+i)), int64(i))
+	}
+	c := New(Config{})
+	key := Key{Fingerprint: g.CanonicalHash(), Heuristic: "MCP"}
+	var clone weak.Pointer[dag.Graph]
+	var want sched.Schedule
+	compute := func(context.Context) (*sched.Schedule, error) {
+		cg := g.CanonicalClone()
+		clone = weak.Make(cg)
+		if _, err := cg.Descendants(); err != nil { // memoize an analysis, as MCP does
+			return nil, err
+		}
+		order, err := cg.TopoOrder()
+		if err != nil {
+			return nil, err
+		}
+		pl := sched.NewPlacement(cg.NumNodes())
+		for _, v := range order {
+			pl.Assign(v, 0)
+		}
+		sc, err := sched.Build(cg, pl)
+		if err == nil {
+			want = sched.Schedule{ByNode: slices.Clone(sc.ByNode), NumProcs: sc.NumProcs, Makespan: sc.Makespan}
+		}
+		return sc, err
+	}
+	if _, st, err := c.Do(context.Background(), key, g.CanonicalEncoding(), compute); err != nil || st != Miss {
+		t.Fatalf("miss: status %v err %v", st, err)
+	}
+	runtime.GC()
+	if clone.Value() != nil {
+		t.Fatal("the cache entry keeps the canonical clone alive")
+	}
+	hit, st, err := c.Do(context.Background(), key, g.CanonicalEncoding(), compute)
+	if err != nil || st != Hit || hit.Graph != nil || !sameSchedule(hit, &want) {
+		t.Fatalf("hit after GC: %+v status %v err %v", hit, st, err)
 	}
 }

@@ -81,10 +81,6 @@ func (p *Pipeline) ScheduleBest(ctx context.Context, g *dag.Graph, budget time.D
 		// an unproven bound.
 		return nil, CacheMiss, fmt.Errorf("serve: quality cache entry has unexpected metadata %T", meta)
 	}
-	status := CacheMiss
-	if st == schedcache.Hit || st == schedcache.Coalesced {
-		status = CacheHit
-	}
 	sc := remapSchedule(canonical, g)
 	return &anytime.Result{
 		Schedule:     sc,
@@ -96,7 +92,7 @@ func (p *Pipeline) ScheduleBest(ctx context.Context, g *dag.Graph, budget time.D
 		SeedName:     qm.seedName,
 		ProbeStates:  qm.probeStates,
 		Elapsed:      qm.elapsed,
-	}, status, nil
+	}, cacheStatus(st), nil
 }
 
 // runBest pushes one quality-tier request through the worker pool with

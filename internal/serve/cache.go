@@ -14,7 +14,7 @@ import (
 // resolved to its canonical content key; a hit returns immediately —
 // no admission, no queue, no shedding — and a miss schedules the
 // CANONICAL CLONE of the graph through the normal pipeline path, then
-// stores the canonical-space schedule.
+// stores the canonical-space schedule, detached from the clone.
 //
 // Scheduling the clone rather than the submitted graph is what makes
 // the cache's consistency contract hold across relabelings: a
@@ -53,11 +53,7 @@ func (p *Pipeline) scheduleCached(ctx context.Context, s heuristics.Scheduler, g
 	if err != nil {
 		return nil, CacheMiss, err
 	}
-	status := CacheMiss
-	if st == schedcache.Hit || st == schedcache.Coalesced {
-		status = CacheHit
-	}
-	return remapSchedule(canonical, g), status, nil
+	return remapSchedule(canonical, g), cacheStatus(st), nil
 }
 
 // run pushes one graph through the worker pool using the requested
@@ -94,11 +90,12 @@ func (p *Pipeline) run(ctx context.Context, s heuristics.Scheduler, g *dag.Graph
 }
 
 // remapSchedule translates a canonical-space schedule back into the
-// requesting graph's node numbering. Placement, timing and processor
-// count are preserved exactly — node v of g executes where and when
-// its canonical image perm[v] does — so the remapped schedule
-// validates against g whenever the canonical one validates against
-// the clone.
+// requesting graph's node numbering and binds it to g: cached schedules
+// are detached (Graph nil), so this is where a hit regains a graph.
+// Placement, timing and processor count are preserved exactly — node v
+// of g executes where and when its canonical image perm[v] does — so
+// the remapped schedule validates against g whenever the canonical one
+// validates against the clone.
 func remapSchedule(canonical *sched.Schedule, g *dag.Graph) *sched.Schedule {
 	perm := g.CanonicalPerm()
 	byNode := make([]sched.Assignment, len(canonical.ByNode))

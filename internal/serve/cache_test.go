@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -246,17 +247,17 @@ func TestScheduleBatchCachedStatuses(t *testing.T) {
 			t.Fatalf("item %d schedule invalid: %v", i, err)
 		}
 		switch r.Cache {
-		case serve.CacheHit:
+		case serve.CacheHit, serve.CacheCoalesced:
 			hits++
 		case serve.CacheMiss:
 		default:
 			t.Fatalf("item %d has status %q", i, r.Cache)
 		}
 	}
-	// a and b each computed once; the twins and the repeat hit (or
-	// coalesced, which also reports as a hit).
+	// a and b each computed once; the twins and the repeat hit or
+	// coalesce onto a concurrent computation.
 	if hits != 3 {
-		t.Fatalf("%d hits, want 3", hits)
+		t.Fatalf("%d hits or coalesced, want 3", hits)
 	}
 }
 
@@ -315,5 +316,74 @@ func TestRetryAfterSurvivesDisabledRegistry(t *testing.T) {
 	ra := p.RetryAfter()
 	if ra < time.Second || ra > 30*time.Second {
 		t.Fatalf("RetryAfter = %v, want within [1s, 30s]", ra)
+	}
+}
+
+// A request that waits on a concurrent identical computation reports
+// coalesced, not hit: it got the answer without it having been stored.
+func TestScheduleCachedReportsCoalesced(t *testing.T) {
+	p := newCachedPipeline(t, serve.Config{Workers: 1, QueueDepth: 2})
+	bs := &blockSched{started: make(chan struct{}, 1), release: make(chan struct{})}
+	g := tinyGraph()
+
+	statuses := make([]serve.CacheStatus, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, statuses[0], _ = p.ScheduleCached(context.Background(), bs, g)
+	}()
+	<-bs.started // the leader is computing
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, statuses[1], _ = p.ScheduleCached(context.Background(), &blockSched{release: bs.release}, permutedCopy(rand.New(rand.NewSource(1)), g))
+	}()
+	// Let the follower park on the leader's flight.
+	time.Sleep(20 * time.Millisecond)
+	close(bs.release)
+	wg.Wait()
+	if statuses[0] != serve.CacheMiss || statuses[1] != serve.CacheCoalesced {
+		t.Fatalf("statuses %q, want [miss coalesced]", statuses)
+	}
+	if _, st, err := p.ScheduleCached(context.Background(), bs, g); err != nil || st != serve.CacheHit {
+		t.Fatalf("after the flight: status %q err %v, want hit", st, err)
+	}
+}
+
+// The byte budget bounds real memory: after about 2000 realistic MCP
+// misses through the pipeline, the live heap has grown by about what
+// the cache says it holds. An entry that kept its canonical clone (and
+// the analyses memoized on it) would retain several times its charge.
+func TestCacheBytesMatchRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("schedules 2000 graphs")
+	}
+	cache := schedcache.New(schedcache.Config{})
+	p := newCachedPipeline(t, serve.Config{Workers: 2, QueueDepth: 8, Cache: cache})
+	rng := rand.New(rand.NewSource(13))
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	const entries = 2000
+	for i := 0; i < entries; i++ {
+		n := 24 + rng.Intn(25)
+		g := schedtest.RandomDAG(rng, n, 5/float64(n))
+		if _, st, err := p.ScheduleCached(context.Background(), mcp.New(), g); err != nil || st != serve.CacheMiss {
+			t.Fatalf("graph %d: status %q err %v", i, st, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	retained := int64(ms.HeapAlloc) - int64(before)
+	if cache.Len() != entries {
+		t.Fatalf("cache holds %d entries, want %d", cache.Len(), entries)
+	}
+	ratio := float64(retained) / float64(cache.Bytes())
+	t.Logf("retained %d B, cache.Bytes %d B (%.0f B per entry), ratio %.2f",
+		retained, cache.Bytes(), float64(cache.Bytes())/entries, ratio)
+	if ratio < 0.5 || ratio > 1.5 {
+		t.Fatalf("retained heap is %.2f× cache.Bytes(), want within [0.5, 1.5]", ratio)
 	}
 }

@@ -68,18 +68,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CacheStatus says whether a result came from the schedule cache.
+// CacheStatus says whether a result came from the schedule cache. The
+// non-empty values are schedcache.Status strings.
 type CacheStatus string
 
 const (
 	// CacheNone: the pipeline has no cache configured.
 	CacheNone CacheStatus = ""
-	// CacheHit: served from the cache (or coalesced onto a concurrent
-	// identical computation) without scheduling.
+	// CacheHit: served from a stored entry without scheduling.
 	CacheHit CacheStatus = "hit"
+	// CacheCoalesced: waited on a concurrent identical request and
+	// shared its result without scheduling.
+	CacheCoalesced CacheStatus = "coalesced"
 	// CacheMiss: this request computed the schedule.
 	CacheMiss CacheStatus = "miss"
 )
+
+func cacheStatus(st schedcache.Status) CacheStatus { return CacheStatus(st.String()) }
 
 // Result is one finished scheduling request. Best is set only for
 // quality-tier (anytime) requests and carries the proven-gap
