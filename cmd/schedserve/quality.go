@@ -71,32 +71,3 @@ func parseQuality(q url.Values, maxBudget time.Duration) (qualityParams, error) 
 	}
 	return p, nil
 }
-
-// qualityJSON is the provenance block attached to a quality-tier
-// /schedule response: the proven lower bound and optimality gap, plus
-// how the answer was reached.
-type qualityJSON struct {
-	LowerBound   int64   `json:"lower_bound"`
-	Gap          int64   `json:"gap"`
-	Proven       bool    `json:"proven"`
-	Generations  int     `json:"generations"`
-	Improvements int     `json:"improvements"`
-	BnbStates    int64   `json:"bnb_states"`
-	Seed         string  `json:"seed"`
-	BudgetMs     float64 `json:"budget_ms"`
-	ElapsedMs    float64 `json:"elapsed_ms"`
-}
-
-func qualityBlock(res *anytime.Result, budget time.Duration) *qualityJSON {
-	return &qualityJSON{
-		LowerBound:   res.LowerBound,
-		Gap:          res.Gap,
-		Proven:       res.Proven,
-		Generations:  res.Generations,
-		Improvements: res.Improvements,
-		BnbStates:    res.ProbeStates,
-		Seed:         res.SeedName,
-		BudgetMs:     float64(budget) / float64(time.Millisecond),
-		ElapsedMs:    float64(res.Elapsed) / float64(time.Millisecond),
-	}
-}

@@ -172,29 +172,6 @@ func (s *server) instrument(path string, h http.Handler) http.Handler {
 	})
 }
 
-// assignmentJSON is one task's placement in the response.
-type assignmentJSON struct {
-	Node   int   `json:"node"`
-	Proc   int   `json:"proc"`
-	Start  int64 `json:"start"`
-	Finish int64 `json:"finish"`
-}
-
-// scheduleResponse is the /schedule JSON body.
-type scheduleResponse struct {
-	Heuristic   string           `json:"heuristic"`
-	Graph       string           `json:"graph,omitempty"`
-	Nodes       int              `json:"nodes"`
-	SerialTime  int64            `json:"serial_time"`
-	Makespan    int64            `json:"makespan"`
-	Procs       int              `json:"procs"`
-	Speedup     float64          `json:"speedup"`
-	Efficiency  float64          `json:"efficiency"`
-	Assignments []assignmentJSON `json:"assignments"`
-	Quality     *qualityJSON     `json:"quality,omitempty"`
-	Trace       json.RawMessage  `json:"trace,omitempty"`
-}
-
 // handleSchedule schedules one DAG: POST a graph as JSON, pick the
 // heuristic with ?heuristic= (default MCP), get the timed schedule
 // back as JSON, or as a text Gantt chart with ?format=gantt. ?trace=1
@@ -238,7 +215,11 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	tr := obs.NewTrace("schedule " + name)
 	dec := tr.Span("decode")
-	g, err := dag.ReadJSON(http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.opts.MaxBody), r.ContentLength)
+	var g *dag.Graph
+	if err == nil {
+		g, err = dag.DecodeJSON(body)
+	}
 	dec.End()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad DAG: "+err.Error())
@@ -270,56 +251,50 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	enc := tr.Span("encode")
 	defer enc.End()
-	if r.URL.Query().Get("format") == "gantt" {
+	if query.Get("format") == "gantt" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "heuristic %s on %q\n%s", name, g.Name(), schedule.Gantt(80))
 		return
 	}
-	resp := scheduleResponse{
-		Heuristic:   name,
-		Graph:       g.Name(),
-		Nodes:       g.NumNodes(),
-		SerialTime:  g.SerialTime(),
-		Makespan:    schedule.Makespan,
-		Procs:       schedule.NumProcs,
-		Speedup:     schedule.Speedup(),
-		Efficiency:  schedule.Efficiency(),
-		Assignments: make([]assignmentJSON, 0, len(schedule.ByNode)),
-	}
-	if best != nil {
-		resp.Quality = qualityBlock(best, qp.budget)
-	}
-	for _, a := range schedule.ByNode {
-		resp.Assignments = append(resp.Assignments, assignmentJSON{
-			Node: int(a.Node), Proc: a.Proc, Start: a.Start, Finish: a.Finish,
-		})
-	}
-	if r.URL.Query().Get("trace") == "1" {
+	var trace []byte
+	if query.Get("trace") == "1" {
 		var tb bytes.Buffer
 		if err := tr.WriteJSON(&tb); err == nil {
-			resp.Trace = json.RawMessage(bytes.TrimSpace(tb.Bytes()))
+			trace = traceJSON(bytes.TrimSpace(tb.Bytes()))
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	// An encode error means the client went away after the headers:
+	// A write error means the client went away after the headers:
 	// there is no status left to send.
-	_ = json.NewEncoder(w).Encode(resp)
+	_, _ = w.Write(encodeSchedule(name, g, schedule, best, qp.budget, trace))
 }
 
-// batchItemJSON is one NDJSON line of the /schedule/batch response:
-// either a schedule or an error, always carrying the item's input
-// index. Lines are emitted in input order.
-type batchItemJSON struct {
-	Index       int              `json:"index"`
-	Error       string           `json:"error,omitempty"`
-	Cache       string           `json:"cache,omitempty"`
-	Heuristic   string           `json:"heuristic,omitempty"`
-	Graph       string           `json:"graph,omitempty"`
-	Nodes       int              `json:"nodes,omitempty"`
-	SerialTime  int64            `json:"serial_time,omitempty"`
-	Makespan    int64            `json:"makespan,omitempty"`
-	Procs       int              `json:"procs,omitempty"`
-	Assignments []assignmentJSON `json:"assignments,omitempty"`
+// maxInitialBody caps the buffer readBody starts with.
+const maxInitialBody = 64 << 10
+
+// readBody reads r, the request body, to EOF. The buffer starts at
+// min(Content-Length, 64 KiB) and grows only as bytes arrive, so a
+// client that declares a large body and sends a few bytes pins no more
+// than it sent.
+func readBody(r io.Reader, contentLength int64) ([]byte, error) {
+	size := int64(bytes.MinRead)
+	if contentLength > 0 {
+		size = min(contentLength, maxInitialBody)
+	}
+	b := make([]byte, 0, size)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // handleScheduleBatch schedules an array of DAGs: POST a JSON array of
@@ -376,32 +351,15 @@ func (s *server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	// Errors from enc/emit mean the client went away; ScheduleBatch
+	var line []byte
+	// Errors from Write/emit mean the client went away; ScheduleBatch
 	// stops emitting and drains, and there is no status left to send.
 	_ = s.pipe.ScheduleBatch(ctx,
 		func() heuristics.Scheduler { sc, _ := heuristics.New(name); return sc },
 		graphs,
 		func(res serve.Result) error {
-			line := batchItemJSON{Index: res.Index, Cache: string(res.Cache)}
-			if res.Err != nil {
-				line.Error = res.Err.Error()
-			} else {
-				g := graphs[res.Index]
-				line.Heuristic = name
-				line.Graph = g.Name()
-				line.Nodes = g.NumNodes()
-				line.SerialTime = g.SerialTime()
-				line.Makespan = res.Schedule.Makespan
-				line.Procs = res.Schedule.NumProcs
-				line.Assignments = make([]assignmentJSON, 0, len(res.Schedule.ByNode))
-				for _, a := range res.Schedule.ByNode {
-					line.Assignments = append(line.Assignments, assignmentJSON{
-						Node: int(a.Node), Proc: a.Proc, Start: a.Start, Finish: a.Finish,
-					})
-				}
-			}
-			if err := enc.Encode(line); err != nil {
+			line = appendBatchLine(line[:0], res, name, graphs[res.Index])
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 			if flusher != nil {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"schedcomp/internal/dag"
@@ -305,5 +308,37 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "goroutine") {
 		t.Fatal("pprof index does not list profiles")
+	}
+}
+
+// readBody starts at the declared length, capped, and grows only with
+// the bytes that arrive.
+func TestReadBodyBoundsItsBuffer(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 3000)
+	got, err := readBody(bytes.NewReader(body), int64(len(body)))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("readBody = %d bytes, %v", len(got), err)
+	}
+	// A client that declares 8 MiB and sends 10 bytes.
+	got, err = readBody(strings.NewReader("0123456789"), 8<<20)
+	if err != nil || string(got) != "0123456789" {
+		t.Fatalf("readBody = %q, %v", got, err)
+	}
+	if cap(got) > maxInitialBody {
+		t.Fatalf("10-byte body pinned a %d-byte buffer", cap(got))
+	}
+	// Unknown length (chunked): starts small, grows as needed.
+	got, err = readBody(strings.NewReader("0123456789"), -1)
+	if err != nil || string(got) != "0123456789" || cap(got) > bytes.MinRead {
+		t.Fatalf("chunked 10-byte body: %q in a %d-byte buffer, %v", got, cap(got), err)
+	}
+	big := bytes.Repeat([]byte("y"), 3*maxInitialBody+17)
+	got, err = readBody(bytes.NewReader(big), -1)
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("chunked readBody = %d bytes, %v", len(got), err)
+	}
+	boom := errors.New("boom")
+	if _, err := readBody(iotest.ErrReader(boom), 100); !errors.Is(err, boom) {
+		t.Fatalf("read error = %v, want %v", err, boom)
 	}
 }

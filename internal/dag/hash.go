@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/bits"
 	"slices"
 )
 
@@ -285,8 +286,8 @@ func (g *Graph) computeCanonical() *canonInfo {
 			trial := append([]uint64(nil), r.colors...) //lint:coldpath individualization only runs on WL-ambiguous graphs
 			trial[v] = mix2(canonSeedIndiv, trial[v])
 			r.refine(trial, r.countDistinct(trial))
-			key := append([]uint64(nil), trial...) //lint:coldpath individualization only runs on WL-ambiguous graphs
-			slices.Sort(key) //lint:outlined individualization only runs on WL-ambiguous graphs
+			key := append([]uint64(nil), trial...)                     //lint:coldpath individualization only runs on WL-ambiguous graphs
+			slices.Sort(key)                                           //lint:outlined individualization only runs on WL-ambiguous graphs
 			if bestColors == nil || slices.Compare(key, bestKey) < 0 { //lint:outlined individualization only runs on WL-ambiguous graphs
 				bestColors, bestKey = trial, key
 			}
@@ -334,18 +335,17 @@ func smallestAmbiguousColor(sorted []uint64) (uint64, bool) {
 // encodeCanonical writes the canonical wire form: magic, node count,
 // node weights in canonical order, edge count, and the edge triples
 // (from, to, weight) in canonical index space sorted by (from, to).
-// The graph's mutex must be held.
+// The buffer is sized exactly from the uvarint lengths, so the only
+// allocation is the encoding itself. The graph's mutex must be held.
 func (g *Graph) encodeCanonical(perm []NodeID) []byte {
 	n := len(g.weights)
-	enc := make([]byte, 0, len(canonMagic)+10*(n+1)+30*g.edges)
-	enc = append(enc, canonMagic...)
-	enc = binary.AppendUvarint(enc, uint64(n))
+	size := len(canonMagic) + uvarintLen(uint64(n)) + uvarintLen(uint64(g.edges))
 	inv := make([]NodeID, n)
 	for v, cv := range perm {
 		inv[cv] = NodeID(v)
 	}
-	for _, v := range inv {
-		enc = binary.AppendUvarint(enc, uint64(g.weights[v]))
+	for _, w := range g.weights {
+		size += uvarintLen(uint64(w))
 	}
 	type triple struct {
 		from, to NodeID
@@ -355,7 +355,9 @@ func (g *Graph) encodeCanonical(perm []NodeID) []byte {
 	for u, arcs := range g.succ {
 		from := perm[u]
 		for _, a := range arcs {
-			edges = append(edges, triple{from: from, to: perm[a.To], w: a.Weight})
+			to := perm[a.To]
+			size += uvarintLen(uint64(from)) + uvarintLen(uint64(to)) + uvarintLen(uint64(a.Weight))
+			edges = append(edges, triple{from: from, to: to, w: a.Weight})
 		}
 	}
 	slices.SortFunc(edges, func(a, b triple) int {
@@ -364,6 +366,12 @@ func (g *Graph) encodeCanonical(perm []NodeID) []byte {
 		}
 		return cmp.Compare(a.to, b.to)
 	})
+	enc := make([]byte, 0, size)
+	enc = append(enc, canonMagic...)
+	enc = binary.AppendUvarint(enc, uint64(n))
+	for _, v := range inv {
+		enc = binary.AppendUvarint(enc, uint64(g.weights[v]))
+	}
 	enc = binary.AppendUvarint(enc, uint64(len(edges)))
 	for _, e := range edges {
 		enc = binary.AppendUvarint(enc, uint64(e.from))
@@ -371,4 +379,10 @@ func (g *Graph) encodeCanonical(perm []NodeID) []byte {
 		enc = binary.AppendUvarint(enc, uint64(e.w))
 	}
 	return enc
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x: one
+// byte per started group of 7 bits.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,8 +53,11 @@ var ErrTrailingData = errors.New("dag: trailing data after graph JSON")
 // validated as fromWire describes.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
-		return err
+	if !scanWire(data, &jg) {
+		jg = jsonGraph{}
+		if err := json.Unmarshal(data, &jg); err != nil {
+			return err
+		}
 	}
 	ng, err := fromWire(&jg)
 	if err != nil {
@@ -139,10 +143,26 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 
 // ReadJSON decodes exactly one graph from r, validated as fromWire
 // describes; anything but whitespace after the object is rejected with
-// ErrTrailingData.
+// ErrTrailingData. It reads r to EOF first; see DecodeJSON.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	dec := json.NewDecoder(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeJSON(data)
+}
+
+// DecodeJSON is ReadJSON for a body already in memory. Bodies in the
+// subset scanWire reads are decoded in one pass; every other body goes
+// through encoding/json, which accepts, rejects and reports errors
+// exactly as it always has. Both paths end in fromWire.
+func DecodeJSON(data []byte) (*Graph, error) {
 	var jg jsonGraph
+	if scanWire(data, &jg) {
+		return fromWire(&jg)
+	}
+	jg = jsonGraph{}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(&jg); err != nil {
 		return nil, err
 	}

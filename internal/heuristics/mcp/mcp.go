@@ -21,6 +21,7 @@
 package mcp
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -166,43 +167,86 @@ func insertSlot(tl []slot, s slot) []slot {
 // lexicographic comparison of their ALAP-time lists (own T_L plus all
 // descendants', each list ascending). Ties break to the smaller node
 // ID so the result is deterministic.
+//
+// A node's own T_L is strictly below every descendant's, so it heads
+// the node's list, and two lists can only compare past their first
+// element when the nodes' T_L are equal. The nodes are therefore
+// sorted by (T_L, ID), and the lists are built and compared only for
+// nodes that share their T_L with another. The descendant closures are
+// computed only when some T_L is shared.
 func (m *MCP) order(g *dag.Graph) ([]dag.NodeID, error) {
 	alap, err := g.ALAPTimes()
 	if err != nil {
 		return nil, err
 	}
-	desc, err := g.Descendants()
-	if err != nil {
-		return nil, err
+	keys := make([]nodeKey, len(alap))
+	for i, t := range alap {
+		keys[i] = nodeKey{t: t, v: dag.NodeID(i)}
 	}
-	n := g.NumNodes()
-	lists := make([][]int64, n)
-	// One collect closure serves every node; each list is preallocated
-	// from the descendant count and sorted without a comparator closure.
-	var l []int64
-	collect := func(j int) { l = append(l, alap[j]) }
-	for i := 0; i < n; i++ {
-		l = make([]int64, 0, desc[i].Count()+1)
-		l = append(l, alap[i])
-		desc[i].ForEach(collect)
-		slices.Sort(l)
-		lists[i] = l
+	// lists holds the ALAP lists of tied nodes back to back; a key's
+	// lo:hi indexes its own. Untied keys have empty lists and never
+	// reach the list comparison, since their T_L decides.
+	var lists []int64
+	byList := func(a, b nodeKey) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
+		}
+		if c := slices.Compare(lists[a.lo:a.hi], lists[b.lo:b.hi]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
 	}
-	order := make([]dag.NodeID, n)
-	for i := range order {
-		order[i] = dag.NodeID(i)
+	slices.SortFunc(keys, byList)
+	tied := false
+	for i := 1; i < len(keys); i++ {
+		if keys[i].t == keys[i-1].t {
+			keys[i].tied, keys[i-1].tied, tied = true, true, true
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := lists[order[a]], lists[order[b]]
-		for i := 0; i < len(la) && i < len(lb); i++ {
-			if la[i] != lb[i] {
-				return la[i] < lb[i]
+	if tied {
+		desc, err := g.Descendants()
+		if err != nil {
+			return nil, err
+		}
+		size := 0
+		for _, k := range keys {
+			if k.tied {
+				size += desc[k.v].Count() + 1
 			}
 		}
-		if len(la) != len(lb) {
-			return len(la) < len(lb)
+		lists = make([]int64, 0, size)
+		// keys is in T_L order, so collecting descendants in key order
+		// yields each list sorted. Keys before i cannot be descendants:
+		// their T_L is not above node i's.
+		for i := range keys {
+			k := &keys[i]
+			if !k.tied {
+				continue
+			}
+			d := desc[k.v]
+			k.lo = len(lists)
+			lists = append(lists, k.t)
+			for _, j := range keys[i+1:] {
+				if d.Contains(int(j.v)) {
+					lists = append(lists, j.t)
+				}
+			}
+			k.hi = len(lists)
 		}
-		return order[a] < order[b]
-	})
+		slices.SortFunc(keys, byList)
+	}
+	order := make([]dag.NodeID, len(keys))
+	for i, k := range keys {
+		order[i] = k.v
+	}
 	return order, nil
+}
+
+// nodeKey is one node's place in the MCP order: its T_L and ID, and
+// for a node that shares its T_L, its ALAP list as lists[lo:hi].
+type nodeKey struct {
+	t      int64
+	v      dag.NodeID
+	tied   bool
+	lo, hi int
 }

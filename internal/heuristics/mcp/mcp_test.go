@@ -2,9 +2,12 @@ package mcp
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"schedcomp/internal/corpus"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
 	"schedcomp/internal/heuristics/schedtest"
@@ -116,5 +119,100 @@ func TestStaysTogetherWhenCommHuge(t *testing.T) {
 	}
 	if sc.Makespan != 30 {
 		t.Errorf("makespan = %d, want 30", sc.Makespan)
+	}
+}
+
+// orderOracle is the MCP order as first written: every node's full
+// ALAP list (own T_L plus all descendants', ascending), compared
+// lexicographically, shorter list first, then by node ID.
+func orderOracle(g *dag.Graph) ([]dag.NodeID, error) {
+	alap, err := g.ALAPTimes()
+	if err != nil {
+		return nil, err
+	}
+	desc, err := g.Descendants()
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
+	lists := make([][]int64, n)
+	for i := 0; i < n; i++ {
+		l := []int64{alap[i]}
+		desc[i].ForEach(func(j int) { l = append(l, alap[j]) })
+		slices.Sort(l)
+		lists[i] = l
+	}
+	order := make([]dag.NodeID, n)
+	for i := range order {
+		order[i] = dag.NodeID(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		la, lb := lists[order[a]], lists[order[b]]
+		for i := 0; i < len(la) && i < len(lb); i++ {
+			if la[i] != lb[i] {
+				return la[i] < lb[i]
+			}
+		}
+		if len(la) != len(lb) {
+			return len(la) < len(lb)
+		}
+		return order[a] < order[b]
+	})
+	return order, nil
+}
+
+// uniform returns g's shape with every node weight 1 and every edge
+// weight w: equal ALAP times, and so ties, become common.
+func uniform(g *dag.Graph, w int64) *dag.Graph {
+	u := dag.New(g.Name())
+	for i := 0; i < g.NumNodes(); i++ {
+		u.AddNode(1)
+	}
+	for _, e := range g.Edges() {
+		u.MustAddEdge(e.From, e.To, w)
+	}
+	return u
+}
+
+// The order sorts by T_L and compares ALAP lists only among ties; it
+// must equal the full-list oracle on the paper's 2100-graph corpus and
+// on uniform-weight copies of it, where ties are the rule.
+func TestOrderMatchesFullListOracle(t *testing.T) {
+	spec := corpus.PaperSpec(1994)
+	if testing.Short() {
+		spec = corpus.SmallSpec(1994)
+	}
+	c, err := corpus.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, tied := 0, 0
+	for _, set := range c.Sets {
+		for _, g := range set.Graphs {
+			for _, h := range []*dag.Graph{g, uniform(g, 1), uniform(g, 0)} {
+				got, err := New().order(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := orderOracle(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: order %v, oracle %v", h.Name(), got, want)
+				}
+				alap, _ := h.ALAPTimes()
+				distinct := slices.Clone(alap)
+				slices.Sort(distinct)
+				if len(slices.Compact(distinct)) < len(alap) {
+					tied++
+				}
+				graphs++
+			}
+		}
+	}
+	t.Logf("%d graphs, %d with tied ALAP times", graphs, tied)
+	if tied == 0 {
+		t.Fatal("no graph had a tie: the tie path went untested")
 	}
 }
