@@ -171,12 +171,12 @@ func TestScheduleRejectsTrailingData(t *testing.T) {
 func TestScheduleRejectsInvalidWireGraphs(t *testing.T) {
 	ts := newTestServer(t, cachedServerOptions())
 	bad := []string{
-		`{"nodes":[1,2],"edges":[{"from":0,"to":0,"weight":1}]}`,                                 // self loop
-		`{"nodes":[1,2],"edges":[{"from":0,"to":1,"weight":1},{"from":0,"to":1,"weight":2}]}`,    // duplicate edge
-		`{"nodes":[1,2],"edges":[{"from":5,"to":1,"weight":1}]}`,                                 // out of range
-		`{"nodes":[1,2],"edges":[{"from":0,"to":1,"weight":-2}]}`,                                // negative weight
-		`{"name":"` + strings.Repeat("N", 2000) + `","nodes":[1],"edges":[]}`,                    // oversized name
-		`{"nodes":[1,1],"edges":[{"from":0,"to":1,"weight":1},{"from":1,"to":0,"weight":1}]}`,    // cycle
+		`{"nodes":[1,2],"edges":[{"from":0,"to":0,"weight":1}]}`,                              // self loop
+		`{"nodes":[1,2],"edges":[{"from":0,"to":1,"weight":1},{"from":0,"to":1,"weight":2}]}`, // duplicate edge
+		`{"nodes":[1,2],"edges":[{"from":5,"to":1,"weight":1}]}`,                              // out of range
+		`{"nodes":[1,2],"edges":[{"from":0,"to":1,"weight":-2}]}`,                             // negative weight
+		`{"name":"` + strings.Repeat("N", 2000) + `","nodes":[1],"edges":[]}`,                 // oversized name
+		`{"nodes":[1,1],"edges":[{"from":0,"to":1,"weight":1},{"from":1,"to":0,"weight":1}]}`, // cycle
 	}
 	for _, body := range bad {
 		resp := postSchedule(t, ts, "?heuristic=MCP", body)

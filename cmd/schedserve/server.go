@@ -238,7 +238,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			schedule = best.Schedule
 		}
 	} else {
-		schedule, cacheStatus, err = s.pipe.ScheduleCached(ctx, sc, g) //lint:boundedlabel cache labels use Scheduler.Name(), a finite registry set
+		schedule, cacheStatus, err = s.pipe.Schedule(ctx, sc, g) //lint:boundedlabel cache labels use Scheduler.Name(), a finite registry set
 	}
 	run.End()
 	if err != nil {

@@ -63,6 +63,7 @@ func (g *Graph) Name() string { return g.name }
 // SetName renames the graph. The name is reporting metadata, not an
 // analysis input, so the rename deliberately leaves the cache
 // generation alone.
+//
 //lint:nobump name does not feed any cached analysis
 func (g *Graph) SetName(name string) { g.name = name }
 

@@ -253,6 +253,17 @@ func (l *Loader) LoadPath(path string) (*Package, error) {
 	return l.load(path, dir)
 }
 
+// Paths returns the import paths of every package the loader has
+// loaded from source, requested or imported, in sorted order.
+func (l *Loader) Paths() []string {
+	paths := make([]string, 0, len(l.cache))
+	for path := range l.cache {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // fromModule reports whether dir lies under the module root rather
 // than under a SrcRoots testdata tree; only such packages go through
 // the shared cross-loader cache.

@@ -111,9 +111,8 @@ func ident(v *ssair.Value) string {
 // ---- whole-program may-block / may-panic summaries ----
 
 type summaries struct {
-	version int
-	blocks  map[*ssair.Func]bool
-	panics  map[*ssair.Func]bool
+	blocks map[*ssair.Func]bool
+	panics map[*ssair.Func]bool
 }
 
 var memo sync.Map // *ssair.Program -> *summaries
@@ -132,17 +131,14 @@ func callTarget(prog *ssair.Program, v *ssair.Value) *ssair.Func {
 
 // summarize computes, per function, whether calling it may block and
 // whether it may panic, to a fixpoint over the static call graph.
-// Results are memoized per program version.
+// Results are memoized per program.
 func summarize(prog *ssair.Program) *summaries {
 	if v, ok := memo.Load(prog); ok {
-		if s := v.(*summaries); s.version == prog.Version() {
-			return s
-		}
+		return v.(*summaries)
 	}
 	s := &summaries{
-		version: prog.Version(),
-		blocks:  map[*ssair.Func]bool{},
-		panics:  map[*ssair.Func]bool{},
+		blocks: map[*ssair.Func]bool{},
+		panics: map[*ssair.Func]bool{},
 	}
 	for _, fn := range prog.All {
 		for _, v := range fn.Values {

@@ -63,9 +63,6 @@ func run(pass *lint.Pass) error {
 		if f.fn.Pkg == nil || f.fn.Pkg.Types != pass.Pkg {
 			continue
 		}
-		if !prog.FirstSighting("obscard", [2]int{int(f.pos), len(f.msg)}) {
-			continue
-		}
 		if lint.AnnotatedIn(prog.Fset(), prog.FileFor(f.fn, f.pos), f.pos, directive) ||
 			lint.AnnotatedIn(prog.Fset(), prog.FileFor(f.fn, f.fn.DeclPos()), f.fn.DeclPos(), directive) {
 			continue
@@ -97,12 +94,11 @@ type finding struct {
 }
 
 type engine struct {
-	version int
-	prog    *ssair.Program
-	masks   map[*ssair.Value]mask
-	why     map[*ssair.Value]string // unbounded origin, for messages
-	ret     map[*ssair.Func]mask
-	retWhy  map[*ssair.Func]string
+	prog   *ssair.Program
+	masks  map[*ssair.Value]mask
+	why    map[*ssair.Value]string // unbounded origin, for messages
+	ret    map[*ssair.Func]mask
+	retWhy map[*ssair.Func]string
 	// sinkParams marks parameters that flow into a label sink inside
 	// the function (directly or transitively).
 	sinkParams map[*ssair.Func]mask
@@ -119,12 +115,9 @@ var memo sync.Map // *ssair.Program -> *engine
 
 func analyze(prog *ssair.Program) *engine {
 	if v, ok := memo.Load(prog); ok {
-		if e := v.(*engine); e.version == prog.Version() {
-			return e
-		}
+		return v.(*engine)
 	}
 	e := &engine{
-		version:    prog.Version(),
 		prog:       prog,
 		masks:      map[*ssair.Value]mask{},
 		why:        map[*ssair.Value]string{},

@@ -179,60 +179,49 @@ type Program struct {
 
 	globalWrites map[*types.Var][]*Value
 	nextID       int
-	version      int
 	taint        *TaintResult
-	taintVersion int
-	reported     map[string]map[[2]int]bool
-}
-
-// FirstSighting reports whether key has not been seen before under
-// the given analyzer name, recording it. Whole-program analyzers use
-// it to report each finding exactly once even though the suite runs
-// them over every package of a growing shared program: the first pass
-// whose program contains both endpoints of a flow claims it.
-func (p *Program) FirstSighting(analyzer string, key [2]int) bool {
-	if p.reported == nil {
-		p.reported = map[string]map[[2]int]bool{}
-	}
-	m := p.reported[analyzer]
-	if m == nil {
-		m = map[[2]int]bool{}
-		p.reported[analyzer] = m
-	}
-	if m[key] {
-		return false
-	}
-	m[key] = true
-	return true
 }
 
 // programs caches one Program per Loader so that every analyzer pass
 // in a schedlint run shares SSA construction work.
 var programs sync.Map // *lint.Loader -> *Program
 
-// For returns the (cached) Program for the pass's loader, extended
-// with the pass package and its transitively resolvable imports.
+// For returns the Program for the pass's loader. The first call builds
+// it, once, from every package the loader holds and everything those
+// transitively import; callers load every package they will analyze
+// before the first pass, so the program never grows and whole-program
+// results computed on it stay valid for the whole run.
 func For(pass *lint.Pass) (*Program, error) {
 	if pass.Loader == nil {
 		return nil, fmt.Errorf("ssair: pass has no loader; whole-program analyzers need one")
 	}
-	v, _ := programs.LoadOrStore(pass.Loader, &Program{
-		Loader:       pass.Loader,
-		Funcs:        map[*types.Func]*Func{},
-		Pkgs:         map[string]*lint.Package{},
-		globalWrites: map[*types.Var][]*Value{},
-	})
+	v, ok := programs.Load(pass.Loader)
+	if !ok {
+		p := &Program{
+			Loader:       pass.Loader,
+			Funcs:        map[*types.Func]*Func{},
+			Pkgs:         map[string]*lint.Package{},
+			globalWrites: map[*types.Var][]*Value{},
+		}
+		for _, path := range pass.Loader.Paths() {
+			if err := p.addPackage(path); err != nil {
+				return nil, err
+			}
+		}
+		programs.Store(pass.Loader, p)
+		v = p
+	}
 	p := v.(*Program)
-	if err := p.AddPackage(pass.Pkg.Path()); err != nil {
-		return nil, err
+	if p.Pkgs[pass.Pkg.Path()] == nil {
+		return nil, fmt.Errorf("ssair: %s was loaded after the program was built", pass.Pkg.Path())
 	}
 	return p, nil
 }
 
-// AddPackage builds SSA for the package at path and for every module
+// addPackage builds SSA for the package at path and for every module
 // (or testdata) package it transitively imports. Already-built
-// packages are skipped, so repeated calls are cheap.
-func (p *Program) AddPackage(path string) error {
+// packages are skipped.
+func (p *Program) addPackage(path string) error {
 	var missing []string
 	var visit func(path string) error
 	seen := map[string]bool{}
@@ -299,7 +288,6 @@ func (p *Program) buildPackage(pkg *lint.Package) {
 			p.buildFunc(pkg, obj, fd)
 		}
 	}
-	p.version++
 }
 
 // FuncsOf returns the functions (including closures) declared in pkg,
@@ -324,11 +312,6 @@ func (p *Program) FileFor(fn *Func, pos token.Pos) *ast.File {
 
 // Fset returns the program's file set.
 func (p *Program) Fset() *token.FileSet { return p.Loader.Fset }
-
-// Version increments whenever a package is added to the program.
-// Analyzers that compute whole-program fixpoints key their memoized
-// results on it, recomputing only when the program has grown.
-func (p *Program) Version() int { return p.version }
 
 // MethodOn reports whether f is the method name on type
 // pkgPath.typeName (pointer or value receiver). Exported for the

@@ -76,19 +76,15 @@ type TaintResult struct {
 	Flows   []*Flow // sorted by sink position, then source position
 }
 
-// Taint runs (or returns the cached) whole-program nondeterminism
-// taint analysis over every package currently in the program. The
-// result is recomputed whenever AddPackage has grown the program;
-// source and sink IDs are stable across recomputations because
-// construction order is append-only.
+// Taint runs the whole-program nondeterminism taint analysis over
+// every package in the program, once; later calls return the same
+// result.
 func (p *Program) Taint() *TaintResult {
-	if p.taint != nil && p.taintVersion == p.version {
-		return p.taint
+	if p.taint == nil {
+		e := newEngine(p)
+		e.run()
+		p.taint = e.result()
 	}
-	e := newEngine(p)
-	e.run()
-	p.taint = e.result()
-	p.taintVersion = p.version
 	return p.taint
 }
 

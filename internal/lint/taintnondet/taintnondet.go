@@ -45,9 +45,9 @@ func run(pass *lint.Pass) error {
 	res := prog.Taint()
 	fset := prog.Fset()
 	for _, fl := range res.Flows {
-		// The program is shared across passes and only grows, so each
-		// flow is claimed by the first pass that can see both ends.
-		if !prog.FirstSighting("taintnondet", [2]int{fl.Source.ID, fl.Sink.ID}) {
+		// The program is shared across passes: each flow is reported
+		// once, by the pass of the package that holds its sink.
+		if fl.Sink.Fn.Pkg == nil || fl.Sink.Fn.Pkg.Types != pass.Pkg {
 			continue
 		}
 		sp := fset.Position(fl.Source.Pos)

@@ -1,9 +1,8 @@
 // Package schedcache is an in-process, content-addressed cache of
 // computed schedules. Entries are keyed by the canonical graph
-// fingerprint (dag.CanonicalHash — isomorphism-stable and name-blind),
-// the heuristic name, and the processor count, so resubmitting the
-// same task graph under different node labels or a different name
-// still hits.
+// fingerprint (dag.CanonicalHash — isomorphism-stable and name-blind)
+// and the heuristic name, so resubmitting the same task graph under
+// different node labels or a different name still hits.
 //
 // The cache is sharded (2^k shards, each with its own mutex, LRU list
 // and lookup map) so that concurrent requests rarely contend, bounded
@@ -38,11 +37,6 @@ type Key struct {
 	Fingerprint dag.Fingerprint
 	// Heuristic is the registered heuristic name.
 	Heuristic string
-	// NProcs is the requested processor bound; 0 means the heuristic
-	// chooses (the only mode the serving layer exposes today, but the
-	// key carves out the dimension so a later bounded-processors API
-	// cannot alias entries).
-	NProcs int
 }
 
 // Status reports how a Do call was satisfied.
@@ -216,12 +210,12 @@ func (c *Cache) counters(heuristic string) *heuristicCounters {
 
 func (c *Cache) shardFor(k Key) *shard {
 	// The fingerprint is a SHA-256: any 8 bytes are uniformly
-	// distributed, so fold the first word with the scalar key parts.
+	// distributed, so fold the first word with the heuristic name.
 	h := uint64(k.Fingerprint[0]) | uint64(k.Fingerprint[1])<<8 |
 		uint64(k.Fingerprint[2])<<16 | uint64(k.Fingerprint[3])<<24 |
 		uint64(k.Fingerprint[4])<<32 | uint64(k.Fingerprint[5])<<40 |
 		uint64(k.Fingerprint[6])<<48 | uint64(k.Fingerprint[7])<<56
-	h ^= uint64(len(k.Heuristic))<<32 ^ uint64(uint32(k.NProcs))
+	h ^= uint64(len(k.Heuristic)) << 32
 	for _, b := range []byte(k.Heuristic) {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}

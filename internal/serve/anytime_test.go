@@ -165,7 +165,7 @@ func TestScheduleBestDoesNotCollideWithPlainCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, st, err := p.ScheduleCached(context.Background(), s, g); err != nil || st != serve.CacheMiss {
+		if _, st, err := p.Schedule(context.Background(), s, g); err != nil || st != serve.CacheMiss {
 			t.Fatalf("%s warm-up: status %q err %v", name, st, err)
 		}
 	}
@@ -182,11 +182,13 @@ func TestScheduleBestDoesNotCollideWithPlainCache(t *testing.T) {
 
 func TestScheduleBestAfterClose(t *testing.T) {
 	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
 	p := serve.New(serve.Config{Workers: 1, QueueDepth: 1}, reg)
 	p.Close()
 	if _, _, err := p.ScheduleBest(context.Background(), tinyGraph(), time.Millisecond); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
+	checkLedger(t, reg, 1)
 }
 
 func TestScheduleBestPreCancelled(t *testing.T) {
@@ -267,7 +269,7 @@ func TestSoakAnytime(t *testing.T) {
 						cancel()
 						return
 					}
-					sc, _, err := p.ScheduleCached(ctx, s, g)
+					sc, _, err := p.Schedule(ctx, s, g)
 					switch {
 					case err == nil:
 						plainOK.Add(1)

@@ -32,37 +32,35 @@ func (p *Pipeline) ScheduleBatch(ctx context.Context, factory func() heuristics.
 		return nil
 	}
 	// Capacity n: every item delivers exactly one Result here, either
-	// from a worker or from a failed submit, so nothing ever blocks.
+	// from a worker or from a failed admission, so nothing ever blocks.
+	// factory runs sequentially in input order — its implementations
+	// may mutate shared state.
 	done := make(chan Result, n)
-	if p.cache != nil {
-		// Cached path: items resolve through the cache concurrently so
-		// a hit on item k streams out without waiting behind item k-1's
-		// computation. The goroutine fan-out is bounded separately from
-		// the queue because hits never enter the queue at all; misses
-		// still use blocking admission, preserving the backpressure
-		// contract. factory runs sequentially in submission order — its
-		// implementations may mutate shared state.
-		go func() {
-			sem := make(chan struct{}, p.cfg.Workers+p.cfg.QueueDepth)
+	go func() {
+		if p.cache == nil {
+			// Admission in input order: once ctx ends, every later item
+			// is shed at admission or dies in the queue, never run.
 			for i, g := range graphs {
-				s := factory()
-				sem <- struct{}{}
-				go func(i int, s heuristics.Scheduler, g *dag.Graph) {
-					defer func() { <-sem }()
-					sc, st, err := p.scheduleCached(ctx, s, g, true)
-					done <- Result{Index: i, Schedule: sc, Cache: st, Err: err}
-				}(i, s, g)
-			}
-		}()
-	} else {
-		go func() {
-			for i, g := range graphs {
-				if err := p.submit(ctx, factory(), g, i, done); err != nil {
+				if err := p.admit(ctx, task{s: factory(), g: g, index: i, done: done}, true); err != nil {
 					done <- Result{Index: i, Err: err}
 				}
 			}
-		}()
-	}
+			return
+		}
+		// Cached: items resolve concurrently, so a hit on item k streams
+		// out without waiting behind item k-1's computation. Hits never
+		// enter the queue, so the fan-out is bounded separately; misses
+		// still use blocking admission.
+		sem := make(chan struct{}, p.cfg.Workers+p.cfg.QueueDepth)
+		for i, g := range graphs {
+			t := task{s: factory(), g: g, index: i}
+			sem <- struct{}{}
+			go func() {
+				defer func() { <-sem }()
+				done <- p.resolve(ctx, t, true)
+			}()
+		}
+	}()
 
 	pending := make([]*Result, n)
 	next := 0

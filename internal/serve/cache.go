@@ -2,10 +2,10 @@ package serve
 
 import (
 	"context"
-	"time"
+	"fmt"
 
+	"schedcomp/internal/anytime"
 	"schedcomp/internal/dag"
-	"schedcomp/internal/heuristics"
 	"schedcomp/internal/sched"
 	"schedcomp/internal/schedcache"
 )
@@ -25,68 +25,49 @@ import (
 // schedule is too, and each requester only differs in the final
 // remapping through its own canonical permutation.
 
-// ScheduleCached is Schedule with cache semantics: the returned status
-// reports whether the schedule came from the cache (CacheNone when the
-// pipeline has no cache; then it behaves exactly like Schedule).
-func (p *Pipeline) ScheduleCached(ctx context.Context, s heuristics.Scheduler, g *dag.Graph) (*sched.Schedule, CacheStatus, error) {
+// resolve is the only cache path. Without a cache it is run. With
+// one, t is keyed by its graph's canonical content and its heuristic
+// (QualityBest for the quality tier); a miss schedules the canonical
+// clone through run with the given admission discipline, and every
+// answer is remapped into t.g's numbering. Quality provenance is
+// stored as an anytime.Result with a nil Schedule; the caller's copy
+// gets the remapped schedule and its gap.
+func (p *Pipeline) resolve(ctx context.Context, t task, blocking bool) Result {
 	if p.cache == nil {
-		sc, err := p.Schedule(ctx, s, g)
-		return sc, CacheNone, err
+		return p.run(ctx, t, blocking)
 	}
-	return p.scheduleCached(ctx, s, g, false)
-}
-
-// scheduleCached resolves one request through the cache; blocking
-// selects the batch (blocking) or single (shedding) admission path for
-// the miss computation.
-func (p *Pipeline) scheduleCached(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, blocking bool) (*sched.Schedule, CacheStatus, error) {
-	key := schedcache.Key{
-		Fingerprint: g.CanonicalHash(),
-		Heuristic:   s.Name(),
-		// NProcs 0: the serving layer always lets the heuristic choose
-		// the processor count today; the key dimension is reserved.
+	g := t.g
+	key := schedcache.Key{Fingerprint: g.CanonicalHash(), Heuristic: QualityBest}
+	if !t.quality {
+		key.Heuristic = t.s.Name()
 	}
-	enc := g.CanonicalEncoding()
-	canonical, st, err := p.cache.Do(ctx, key, enc, func(ctx context.Context) (*sched.Schedule, error) {
-		return p.run(ctx, s, g.CanonicalClone(), blocking)
+	canonical, meta, st, err := p.cache.DoMeta(ctx, key, g.CanonicalEncoding(), func(ctx context.Context) (*sched.Schedule, any, error) {
+		t.g = g.CanonicalClone()
+		r := p.run(ctx, t, blocking)
+		if r.Err != nil || r.Best == nil {
+			return r.Schedule, nil, r.Err
+		}
+		prov := *r.Best
+		prov.Schedule = nil
+		return r.Schedule, prov, nil
 	})
 	if err != nil {
-		return nil, CacheMiss, err
+		return Result{Index: t.index, Cache: CacheMiss, Err: err}
 	}
-	return remapSchedule(canonical, g), cacheStatus(st), nil
-}
-
-// run pushes one graph through the worker pool using the requested
-// admission discipline and waits for its result.
-func (p *Pipeline) run(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, blocking bool) (*sched.Schedule, error) {
-	if !blocking {
-		return p.Schedule(ctx, s, g)
+	r := Result{Index: t.index, Schedule: remapSchedule(canonical, g), Cache: cacheStatus(st)}
+	if t.quality {
+		prov, ok := meta.(anytime.Result)
+		if !ok {
+			// Unreachable unless another writer stored a foreign meta
+			// under the QualityBest dimension; fail loudly rather than
+			// fabricate an unproven bound.
+			return Result{Index: t.index, Cache: CacheMiss,
+				Err: fmt.Errorf("serve: quality cache entry has unexpected metadata %T", meta)}
+		}
+		prov.Schedule, prov.Gap = r.Schedule, r.Schedule.Makespan-prov.LowerBound
+		r.Best = &prov
 	}
-	done := make(chan Result, 1)
-	p.submitted.Inc()
-	t := task{ctx: ctx, s: s, g: g, enq: time.Now(), done: done}
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		p.shed.Inc()
-		return nil, ErrClosed
-	}
-	select { //lint:lockheld same blocking-admission contract as submit
-	case p.queue <- t:
-		p.admitted.Inc()
-		p.depth.Add(1)
-		p.mu.RUnlock()
-	case <-ctx.Done():
-		p.shed.Inc()
-		p.mu.RUnlock()
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-done:
-		return r.Schedule, r.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return r
 }
 
 // remapSchedule translates a canonical-space schedule back into the

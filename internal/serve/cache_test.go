@@ -35,7 +35,7 @@ func waitForQueueFull(t *testing.T, p *serve.Pipeline) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		_, err := p.Schedule(ctx, mcp.New(), tinyGraph())
+		_, _, err := p.Schedule(ctx, mcp.New(), tinyGraph())
 		cancel()
 		if errors.Is(err, serve.ErrQueueFull) {
 			return
@@ -94,7 +94,7 @@ func TestScheduleCachedHitIsByteIdentical(t *testing.T) {
 	p := newCachedPipeline(t, serve.Config{Workers: 2, QueueDepth: 4})
 	g := schedtest.RandomDAG(rand.New(rand.NewSource(7)), 24, 0.2)
 
-	first, st, err := p.ScheduleCached(context.Background(), mcp.New(), g)
+	first, st, err := p.Schedule(context.Background(), mcp.New(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestScheduleCachedHitIsByteIdentical(t *testing.T) {
 		t.Fatalf("miss schedule invalid: %v", err)
 	}
 
-	second, st, err := p.ScheduleCached(context.Background(), mcp.New(), g)
+	second, st, err := p.Schedule(context.Background(), mcp.New(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestScheduleCachedHitsAcrossRelabeling(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := schedtest.RandomDAG(rng, 20, 0.25)
 
-	base, st, err := p.ScheduleCached(context.Background(), mcp.New(), g)
+	base, st, err := p.Schedule(context.Background(), mcp.New(), g)
 	if err != nil || st != serve.CacheMiss {
 		t.Fatalf("seed: status %q err %v", st, err)
 	}
 	for i := 0; i < 3; i++ {
 		twin := permutedCopy(rng, g)
-		got, st, err := p.ScheduleCached(context.Background(), mcp.New(), twin)
+		got, st, err := p.Schedule(context.Background(), mcp.New(), twin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,8 +159,8 @@ func TestScheduleCachedMissIsConsistentAcrossLabelings(t *testing.T) {
 
 	p1 := newCachedPipeline(t, serve.Config{Workers: 1, QueueDepth: 2})
 	p2 := newCachedPipeline(t, serve.Config{Workers: 1, QueueDepth: 2})
-	s1, st1, err1 := p1.ScheduleCached(context.Background(), mcp.New(), g)
-	s2, st2, err2 := p2.ScheduleCached(context.Background(), mcp.New(), twin)
+	s1, st1, err1 := p1.Schedule(context.Background(), mcp.New(), g)
+	s2, st2, err2 := p2.Schedule(context.Background(), mcp.New(), twin)
 	if err1 != nil || err2 != nil || st1 != serve.CacheMiss || st2 != serve.CacheMiss {
 		t.Fatalf("setup: %v %v %q %q", err1, err2, st1, st2)
 	}
@@ -178,7 +178,7 @@ func TestScheduleCachedHitBypassesFullQueue(t *testing.T) {
 	p := newCachedPipeline(t, serve.Config{Workers: 1, QueueDepth: 1, Cache: cache})
 	g := schedtest.RandomDAG(rand.New(rand.NewSource(10)), 16, 0.2)
 
-	if _, st, err := p.ScheduleCached(context.Background(), mcp.New(), g); err != nil || st != serve.CacheMiss {
+	if _, st, err := p.Schedule(context.Background(), mcp.New(), g); err != nil || st != serve.CacheMiss {
 		t.Fatalf("warm-up: status %q err %v", st, err)
 	}
 
@@ -187,7 +187,10 @@ func TestScheduleCachedHitBypassesFullQueue(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); p.Schedule(context.Background(), bs, tinyGraph()) }()
 	<-bs.started // worker is parked
-	go func() { defer wg.Done(); p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph()) }()
+	go func() {
+		defer wg.Done()
+		p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph())
+	}()
 	defer func() { close(bs.release); wg.Wait() }()
 
 	// Queue is now full: a direct Schedule sheds. A probe that races
@@ -199,7 +202,7 @@ func TestScheduleCachedHitBypassesFullQueue(t *testing.T) {
 	// ...but the cached graph still answers, fast and as a hit.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	sc, st, err := p.ScheduleCached(ctx, mcp.New(), g)
+	sc, st, err := p.Schedule(ctx, mcp.New(), g)
 	if err != nil {
 		t.Fatalf("hit path error under full queue: %v", err)
 	}
@@ -263,7 +266,7 @@ func TestScheduleBatchCachedStatuses(t *testing.T) {
 
 func TestScheduleCachedWithoutCacheIsTransparent(t *testing.T) {
 	p, _ := newTestPipeline(t, serve.Config{Workers: 1, QueueDepth: 2})
-	sc, st, err := p.ScheduleCached(context.Background(), mcp.New(), tinyGraph())
+	sc, st, err := p.Schedule(context.Background(), mcp.New(), tinyGraph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,10 @@ func TestRetryAfterColdStartOnFullPipeline(t *testing.T) {
 	wg.Add(2)
 	go func() { defer wg.Done(); p.Schedule(context.Background(), bs, tinyGraph()) }()
 	<-bs.started
-	go func() { defer wg.Done(); p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph()) }()
+	go func() {
+		defer wg.Done()
+		p.Schedule(context.Background(), &blockSched{release: bs.release}, tinyGraph())
+	}()
 	defer func() { close(bs.release); wg.Wait() }()
 
 	// Wait until the queue is actually full (the second submission —
@@ -309,7 +315,7 @@ func TestRetryAfterSurvivesDisabledRegistry(t *testing.T) {
 	p := serve.New(serve.Config{Workers: 1, QueueDepth: 64}, reg)
 	t.Cleanup(p.Close)
 	for i := 0; i < 3; i++ {
-		if _, err := p.Schedule(context.Background(), mcp.New(), tinyGraph()); err != nil {
+		if _, _, err := p.Schedule(context.Background(), mcp.New(), tinyGraph()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -331,13 +337,13 @@ func TestScheduleCachedReportsCoalesced(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, statuses[0], _ = p.ScheduleCached(context.Background(), bs, g)
+		_, statuses[0], _ = p.Schedule(context.Background(), bs, g)
 	}()
 	<-bs.started // the leader is computing
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, statuses[1], _ = p.ScheduleCached(context.Background(), &blockSched{release: bs.release}, permutedCopy(rand.New(rand.NewSource(1)), g))
+		_, statuses[1], _ = p.Schedule(context.Background(), &blockSched{release: bs.release}, permutedCopy(rand.New(rand.NewSource(1)), g))
 	}()
 	// Let the follower park on the leader's flight.
 	time.Sleep(20 * time.Millisecond)
@@ -346,7 +352,7 @@ func TestScheduleCachedReportsCoalesced(t *testing.T) {
 	if statuses[0] != serve.CacheMiss || statuses[1] != serve.CacheCoalesced {
 		t.Fatalf("statuses %q, want [miss coalesced]", statuses)
 	}
-	if _, st, err := p.ScheduleCached(context.Background(), bs, g); err != nil || st != serve.CacheHit {
+	if _, st, err := p.Schedule(context.Background(), bs, g); err != nil || st != serve.CacheHit {
 		t.Fatalf("after the flight: status %q err %v, want hit", st, err)
 	}
 }
@@ -370,7 +376,7 @@ func TestCacheBytesMatchRetainedHeap(t *testing.T) {
 	for i := 0; i < entries; i++ {
 		n := 24 + rng.Intn(25)
 		g := schedtest.RandomDAG(rng, n, 5/float64(n))
-		if _, st, err := p.ScheduleCached(context.Background(), mcp.New(), g); err != nil || st != serve.CacheMiss {
+		if _, st, err := p.Schedule(context.Background(), mcp.New(), g); err != nil || st != serve.CacheMiss {
 			t.Fatalf("graph %d: status %q err %v", i, st, err)
 		}
 	}

@@ -4,16 +4,17 @@
 // context.Context into heuristics.RunContext, so a request that is
 // cancelled or expires stops burning CPU at the next topo-order poll.
 //
-// Admission policy:
+// Admission policy, all of it in admit:
 //
 //   - single requests are admitted without blocking — a full queue
 //     sheds the request immediately with ErrQueueFull so the HTTP
 //     layer can answer 429 with a Retry-After hint;
 //   - batch items are admitted with a blocking send (bounded by the
 //     request context), which is the backpressure that keeps a large
-//     batch from flooding the queue past its depth.
+//     batch from flooding the queue past its depth;
+//   - after Close, every submission is shed with ErrClosed.
 //
-// Counter contract, relied on by the soak test:
+// Counter contract, relied on by the soak test, on every path:
 //
 //	submitted = admitted + shed
 //	admitted  = completed + failed + cancelled   (once drained)
@@ -97,6 +98,7 @@ type Result struct {
 	Err      error
 }
 
+// task is one unit of worker work. admit stamps ctx and enq.
 type task struct {
 	ctx   context.Context
 	s     heuristics.Scheduler
@@ -183,66 +185,71 @@ func (p *Pipeline) Workers() int { return p.cfg.Workers }
 // QueueDepth reports the configured admission-queue bound.
 func (p *Pipeline) QueueDepth() int { return p.cfg.QueueDepth }
 
-// Schedule runs s on g through the pipeline. Admission never blocks:
-// a full queue returns ErrQueueFull immediately. The call then waits
-// for the worker, or for ctx — whichever comes first. On cancellation
-// the queued work is still drained by a worker (and counted), but the
+// Schedule runs s on g through the pipeline, and through the cache
+// when one is configured; the status reports whether the schedule came
+// from it (CacheNone without a cache). Admission never blocks: a full
+// queue returns ErrQueueFull immediately. The call then waits for the
+// worker, or for ctx — whichever comes first. On cancellation the
+// queued work is still drained by a worker (and counted), but the
 // caller gets ctx's error right away.
-func (p *Pipeline) Schedule(ctx context.Context, s heuristics.Scheduler, g *dag.Graph) (*sched.Schedule, error) {
-	p.submitted.Inc()
-	done := make(chan Result, 1)
-	t := task{ctx: ctx, s: s, g: g, enq: time.Now(), done: done}
-
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	select {
-	case p.queue <- t:
-		p.mu.RUnlock()
-		p.admitted.Inc()
-		p.depth.Add(1)
-	default:
-		p.mu.RUnlock()
-		p.shed.Inc()
-		return nil, ErrQueueFull
-	}
-
-	select {
-	case r := <-done:
-		return r.Schedule, r.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+func (p *Pipeline) Schedule(ctx context.Context, s heuristics.Scheduler, g *dag.Graph) (*sched.Schedule, CacheStatus, error) {
+	r := p.resolve(ctx, task{s: s, g: g}, false)
+	return r.Schedule, r.Cache, r.Err
 }
 
-// submit is the blocking-admission path used for batch items: it
-// waits for queue space (the backpressure bound) unless ctx ends
-// first. Results arrive on done, which must have capacity for every
-// outstanding submission so workers never block on delivery.
-func (p *Pipeline) submit(ctx context.Context, s heuristics.Scheduler, g *dag.Graph, index int, done chan<- Result) error {
+// admit offers t to the queue under ctx. It is the only code that
+// sends on p.queue or moves the admission ledger: every call counts
+// one submission and exactly one of admitted or shed. A blocking
+// admission waits for queue space until ctx ends; a non-blocking one
+// sheds a full queue with ErrQueueFull. After Close it sheds with
+// ErrClosed either way. t's result arrives on t.done, which must have
+// room for it so workers never block on delivery.
+func (p *Pipeline) admit(ctx context.Context, t task, blocking bool) error {
+	t.ctx, t.enq = ctx, time.Now()
 	p.submitted.Inc()
-	t := task{ctx: ctx, s: s, g: g, index: index, enq: time.Now(), done: done}
-
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		p.shed.Inc()
 		return ErrClosed
 	}
-	// Blocking admission under the read lock is the backpressure
-	// contract. A blocked submitter can stall Close's write lock only
-	// until a worker (which never takes p.mu) drains a slot or ctx
-	// fires, so liveness holds and closed/queue stay consistent.
-	select { //lint:lockheld
-	case p.queue <- t:
-		p.admitted.Inc()
-		p.depth.Add(1)
-		return nil
+	if blocking {
+		// Blocking admission under the read lock is the backpressure
+		// contract. A blocked submitter can stall Close's write lock
+		// only until a worker (which never takes p.mu) drains a slot
+		// or ctx fires, so liveness holds and closed/queue stay
+		// consistent.
+		select { //lint:lockheld
+		case p.queue <- t:
+		case <-ctx.Done():
+			p.shed.Inc()
+			return ctx.Err()
+		}
+	} else {
+		select {
+		case p.queue <- t:
+		default:
+			p.shed.Inc()
+			return ErrQueueFull
+		}
+	}
+	p.admitted.Inc()
+	p.depth.Add(1)
+	return nil
+}
+
+// run admits t and waits for its worker's result, or for ctx.
+func (p *Pipeline) run(ctx context.Context, t task, blocking bool) Result {
+	done := make(chan Result, 1)
+	t.done = done
+	if err := p.admit(ctx, t, blocking); err != nil {
+		return Result{Index: t.index, Err: err}
+	}
+	select {
+	case r := <-done:
+		return r
 	case <-ctx.Done():
-		p.shed.Inc()
-		return ctx.Err()
+		return Result{Index: t.index, Err: ctx.Err()}
 	}
 }
 

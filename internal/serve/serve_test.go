@@ -65,6 +65,19 @@ func waitCounter(t *testing.T, c *obs.Counter, want uint64) {
 	}
 }
 
+// checkLedger asserts that the pipeline counted want submissions and
+// that each was either admitted or shed.
+func checkLedger(t *testing.T, reg *obs.Registry, want uint64) {
+	t.Helper()
+	submitted := reg.Counter("serve_submitted_total", "").Value()
+	admitted := reg.Counter("serve_admitted_total", "").Value()
+	shed := reg.Counter("serve_shed_total", "").Value()
+	if submitted != want || submitted != admitted+shed {
+		t.Errorf("submitted = %d (want %d), admitted = %d, shed = %d: want submitted = admitted + shed",
+			submitted, want, admitted, shed)
+	}
+}
+
 func TestScheduleShedsWhenQueueFull(t *testing.T) {
 	p, reg := newTestPipeline(t, serve.Config{Workers: 1, QueueDepth: 1})
 	g := tinyGraph()
@@ -73,13 +86,13 @@ func TestScheduleShedsWhenQueueFull(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[0] = p.Schedule(context.Background(), bs, g) }()
+	go func() { defer wg.Done(); _, _, errs[0] = p.Schedule(context.Background(), bs, g) }()
 	<-bs.started // the single worker is now parked inside Schedule
 	wg.Add(1)
-	go func() { defer wg.Done(); _, errs[1] = p.Schedule(context.Background(), bs, g) }()
+	go func() { defer wg.Done(); _, _, errs[1] = p.Schedule(context.Background(), bs, g) }()
 	waitCounter(t, reg.Counter("serve_admitted_total", ""), 2) // second request sits in the queue
 
-	if _, err := p.Schedule(context.Background(), bs, g); !errors.Is(err, serve.ErrQueueFull) {
+	if _, _, err := p.Schedule(context.Background(), bs, g); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("third request: err = %v, want ErrQueueFull", err)
 	}
 	if ra := p.RetryAfter(); ra < time.Second {
@@ -108,7 +121,7 @@ func TestScheduleDeadlineReturnsEarly(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := p.Schedule(ctx, bs, tinyGraph())
+	_, _, err := p.Schedule(ctx, bs, tinyGraph())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -232,9 +245,10 @@ func TestScheduleAfterCloseReturnsErrClosed(t *testing.T) {
 	p := serve.New(serve.Config{Workers: 2, QueueDepth: 2}, reg)
 	p.Close()
 	p.Close() // idempotent
-	if _, err := p.Schedule(context.Background(), mcp.New(), tinyGraph()); !errors.Is(err, serve.ErrClosed) {
+	if _, _, err := p.Schedule(context.Background(), mcp.New(), tinyGraph()); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
+	checkLedger(t, reg, 1)
 	var got []serve.Result
 	err := p.ScheduleBatch(context.Background(),
 		func() heuristics.Scheduler { return mcp.New() },
@@ -246,6 +260,7 @@ func TestScheduleAfterCloseReturnsErrClosed(t *testing.T) {
 	if len(got) != 1 || !errors.Is(got[0].Err, serve.ErrClosed) {
 		t.Fatalf("batch on closed pipeline: %+v", got)
 	}
+	checkLedger(t, reg, 2)
 }
 
 func TestRetryAfterDefaultsToOneSecond(t *testing.T) {

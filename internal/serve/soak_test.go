@@ -96,13 +96,13 @@ func TestSoakPipeline(t *testing.T) {
 						burst.Add(1)
 						go func() {
 							defer burst.Done()
-							sc, err := p.Schedule(ctx, s, g)
+							sc, _, err := p.Schedule(ctx, s, g)
 							soakCheck(t, sc, err, &cancellations, &sheds, &schedules)
 						}()
 					}
 					burst.Wait()
 				default: // plain single request
-					sc, err := p.Schedule(ctx, s, g)
+					sc, _, err := p.Schedule(ctx, s, g)
 					soakCheck(t, sc, err, &cancellations, &sheds, &schedules)
 				}
 				cancel()
