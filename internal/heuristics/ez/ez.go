@@ -18,17 +18,23 @@
 // and because node weights are strictly positive, level(u) > level(v)
 // for every edge u→v, so both kinds of dependency point backward in
 // the global order and one forward sweep solves the recurrence. A
-// trial merge therefore does not rescan the graph: it re-times the two
-// affected clusters and propagates along graph edges and queue links
-// only while finish times actually change (a min-heap keyed by global
-// rank keeps the cone in order), reading everything else from the
-// committed timing. The full-rescan estimator is retained behind
-// newFullRescan as the oracle the incremental one is tested against.
+// trial merge therefore does not rescan the graph. It walks the two
+// clusters' member chains in global order, merging them on the fly,
+// and re-times each member against its merged queue predecessor. A
+// change reaches other clusters along graph edges and queue links, and
+// spreads only while finish times actually change; those nodes go
+// through a min-heap keyed by global rank, so the whole cone is
+// re-timed in order. Cluster membership is a flat array of committed
+// roots. Trial finish times are written in place over the committed
+// ones, with an undo log: a rejected trial rolls them back, a kept one
+// leaves nothing to copy. The tests hold every trial estimate to a
+// full rescan through sched.Build.
 package ez
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
@@ -42,36 +48,17 @@ func init() {
 
 // EZ is the scheduler. The zero value is ready to use.
 type EZ struct {
-	// fullRescan switches to the retained full-rescan estimator (one
-	// sched.Build per trial merge). Kept as the oracle for the
-	// incremental estimator's equivalence test.
-	fullRescan bool
 	// estLog, when non-nil, records the initial estimate followed by
 	// the trial estimate of every examined edge, in examination order.
-	// Test hook: the oracle test compares the two estimators' logs.
+	// Test hook: the oracle test compares it with a full rescan's.
 	estLog *[]int64
 }
 
 // New returns an EZ scheduler.
 func New() *EZ { return &EZ{} }
 
-// newFullRescan returns an EZ that estimates by full rescan. Oracle
-// for tests; behaviourally identical to the incremental estimator.
-func newFullRescan() *EZ { return &EZ{fullRescan: true} }
-
 // Name implements heuristics.Scheduler.
 func (e *EZ) Name() string { return "EZ" }
-
-// find resolves x's cluster root with path compression local to p.
-//
-//lint:boundedidx parent entries only ever hold node indexes in [0,n)
-func find(p []int, x int) int {
-	for p[x] != x {
-		p[x] = p[p[x]]
-		x = p[x]
-	}
-	return x
-}
 
 // Schedule implements heuristics.Scheduler.
 func (e *EZ) Schedule(g *dag.Graph) (*sched.Placement, error) {
@@ -82,24 +69,23 @@ func (e *EZ) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // decreasing weight, ties toward the smaller (From, To) pair.
 func sortedEdges(g *dag.Graph) []dag.Edge {
 	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
+	slices.SortFunc(edges, func(a, b dag.Edge) int {
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
 		}
-		return edges[i].To < edges[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return edges
 }
 
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per examined edge.
+//
+//lint:boundedidx edge endpoints and the inlined rollback's undo log hold NodeIDs in [0,n)
 func (e *EZ) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	if e.fullRescan {
-		return e.scheduleFullRescan(ctx, g)
-	}
 	n := g.NumNodes()
 	if n == 0 {
 		return sched.NewPlacement(0), nil
@@ -120,7 +106,7 @@ func (e *EZ) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ra, rb := find(st.parent, int(edge.From)), find(st.parent, int(edge.To)) //lint:boundedidx edge endpoints are node IDs in [0,n)
+		ra, rb := int(st.root[edge.From]), int(st.root[edge.To])
 		if ra == rb {
 			continue // already zeroed transitively
 		}
@@ -131,15 +117,17 @@ func (e *EZ) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 		if merged <= current {
 			current = merged
 			st.commit(ra, rb)
+		} else {
+			st.rollback()
 		}
 	}
 	return st.placement(), nil
 }
 
-// state is the incremental estimator: the committed clustering with
-// its exact greedy timing, plus an epoch-stamped overlay that prices a
-// trial merge without touching the committed arrays. All of it lives
-// in pooled arena scratch for the duration of one Schedule call.
+// state is the incremental estimator: the clustering with its exact
+// greedy timing, which a trial merge re-times in place and a rejected
+// one rolls back. All of it lives in pooled arena scratch for the
+// duration of one Schedule call.
 type state struct {
 	g   *dag.Graph
 	csr *dag.CSR
@@ -148,7 +136,7 @@ type state struct {
 	ord  []dag.NodeID // all nodes, (level desc, id asc)
 	rank []int32      // rank[v] = position of v in ord
 
-	parent []int // union-find over committed merges; rb survives
+	root []int32 // committed cluster root of every node; rb survives a merge
 
 	// Committed cluster chains in global order: qprev/qnext link each
 	// cluster's members, head/tail index the ends per live root.
@@ -158,17 +146,19 @@ type state struct {
 	roots   []int32 // live roots, unordered (swap-removed on merge)
 	rootPos []int32 // position of each live root in roots
 
-	fin []int64 // committed finish time of every node
+	// fin is the finish time of every node under the committed
+	// clustering, or during a trial under the pending merge.
+	fin []int64
 
-	// Trial overlay. Epoch stamps make every trial O(cone) with no
-	// clearing: a slot is live only when its stamp equals epoch.
-	epoch   int32
-	tf      []int64 // trial finish
-	tfEp    []int32
-	member  []int32      // stamp: node is in one of the two merging clusters
-	inHeap  []int32      // stamp: rank already pushed this trial
-	heap    []int32      // min-heap of ranks → retime in global order
-	touched []dag.NodeID // nodes stamped this trial, for commit
+	// Trial bookkeeping. The epoch stamp makes the heap's dedup O(cone)
+	// with no clearing: a node is queued this trial only when its stamp
+	// equals epoch. The undo log holds each rewritten node once, with
+	// its committed finish time.
+	epoch    int32
+	inHeap   []int32
+	heap     []int32 // min-heap of ranks of the non-member nodes to re-time
+	undoNode []dag.NodeID
+	undoFin  []int64
 }
 
 // Every index used by the state methods is a NodeID or a rank in
@@ -181,40 +171,38 @@ type state struct {
 func newState(g *dag.Graph, level []int64, sc *arena.Scratch) *state {
 	n := g.NumNodes()
 	st := &state{
-		g:       g,
-		csr:     g.CSR(),
-		n:       n,
-		ord:     sc.NodeIDs(n),
-		rank:    sc.Int32s(n),
-		parent:  sc.Ints(n),
-		qprev:   sc.Int32s(n),
-		qnext:   sc.Int32s(n),
-		head:    sc.Int32s(n),
-		tail:    sc.Int32s(n),
-		roots:   sc.Int32s(n),
-		rootPos: sc.Int32s(n),
-		fin:     sc.Int64s(n),
-		tf:      sc.Int64s(n),
-		tfEp:    sc.Int32s(n),
-		member:  sc.Int32s(n),
-		inHeap:  sc.Int32s(n),
-		heap:    sc.Int32s(n)[:0],
-		touched: sc.NodeIDs(n)[:0],
+		g:        g,
+		csr:      g.CSR(),
+		n:        n,
+		ord:      sc.NodeIDs(n),
+		rank:     sc.Int32s(n),
+		root:     sc.Int32s(n),
+		qprev:    sc.Int32s(n),
+		qnext:    sc.Int32s(n),
+		head:     sc.Int32s(n),
+		tail:     sc.Int32s(n),
+		roots:    sc.Int32s(n),
+		rootPos:  sc.Int32s(n),
+		fin:      sc.Int64s(n),
+		inHeap:   sc.Int32s(n),
+		heap:     sc.Int32s(n)[:0],
+		undoNode: sc.NodeIDs(n)[:0],
+		undoFin:  sc.Int64s(n)[:0],
 	}
 	for i := range st.ord {
 		st.ord[i] = dag.NodeID(i)
 	}
-	sort.Slice(st.ord, func(i, j int) bool {
-		if level[st.ord[i]] != level[st.ord[j]] {
-			return level[st.ord[i]] > level[st.ord[j]]
+	slices.SortFunc(st.ord, func(a, b dag.NodeID) int {
+		if level[a] != level[b] {
+			return cmp.Compare(level[b], level[a])
 		}
-		return st.ord[i] < st.ord[j]
+		return cmp.Compare(a, b)
 	})
 	for i, v := range st.ord {
 		st.rank[v] = int32(i)
 	}
 	for v := 0; v < n; v++ {
-		st.parent[v] = v
+		st.root[v] = int32(v)
 		st.qprev[v] = -1
 		st.qnext[v] = -1
 		st.head[v] = int32(v)
@@ -248,27 +236,13 @@ func (s *state) initialTiming() int64 {
 	return ms
 }
 
-// finOf reads a node's finish time through the trial overlay.
-func (s *state) finOf(v dag.NodeID) int64 {
-	if s.tfEp[v] == s.epoch {
-		return s.tf[v]
-	}
-	return s.fin[v]
-}
-
-// trialRoot is the clustering's root map under the pending ra→rb merge.
-func (s *state) trialRoot(x, ra, rb int) int {
-	if r := find(s.parent, x); r != ra {
-		return r
-	}
-	return rb
-}
-
-// push schedules node v for retiming this trial (deduplicated).
+// push queues node v for re-timing this trial (deduplicated), unless
+// it belongs to one of the merging clusters ra and rb, whose members
+// trial walks in order anyway.
 //
 //lint:boundedidx heap indexes stay below len(h); ranks are in [0,n)
-func (s *state) push(v dag.NodeID) {
-	if s.inHeap[v] == s.epoch {
+func (s *state) push(v dag.NodeID, ra, rb int32) {
+	if r := s.root[v]; r == ra || r == rb || s.inHeap[v] == s.epoch {
 		return
 	}
 	s.inHeap[v] = s.epoch
@@ -315,109 +289,121 @@ func (s *state) pop() int32 {
 }
 
 // trial prices merging the clusters rooted at ra and rb and returns
-// the resulting makespan, leaving the committed state untouched. It
-// seeds the retiming heap with both clusters' members and then chases
-// the change cone: a node is re-timed only if a predecessor's finish,
-// its queue predecessor's finish, or one of its communication costs
-// may have changed, and propagation stops wherever the recomputed
-// finish equals the committed one.
+// the resulting makespan. It walks both member chains in global order
+// and re-times every member; a node of another cluster is re-timed
+// only if a predecessor's finish or its queue predecessor's finish
+// changed, and propagation stops wherever the recomputed finish equals
+// the old one. New finish times are written to fin and logged, so
+// commit or rollback must follow before the next trial.
 //
 //lint:boundedidx indexes are NodeIDs/ranks in [0,n), slices carved at n
 func (s *state) trial(ra, rb int) int64 {
 	s.epoch++
 	s.heap = s.heap[:0]
-	s.touched = s.touched[:0]
-	for x := s.head[ra]; x != -1; x = s.qnext[x] {
-		s.member[x] = s.epoch
-		s.push(dag.NodeID(x))
-	}
-	for x := s.head[rb]; x != -1; x = s.qnext[x] {
-		s.member[x] = s.epoch
-		s.push(dag.NodeID(x))
-	}
-
-	lastMerged := dag.NodeID(-1) // most recently re-timed member: v's trial queue predecessor
-	for len(s.heap) > 0 {
-		v := s.ord[s.pop()]
-		isMember := s.member[v] == s.epoch
-		var start int64
-		if isMember {
-			if lastMerged >= 0 {
-				start = s.finOf(lastMerged)
-			}
-		} else if p := s.qprev[v]; p >= 0 {
-			start = s.finOf(dag.NodeID(p))
+	s.undoNode, s.undoFin = s.undoNode[:0], s.undoFin[:0]
+	ra32, rb32 := int32(ra), int32(rb)
+	a, b := s.head[ra], s.head[rb]
+	last := int32(-1) // most recently re-timed member: the next member's queue predecessor
+walk:
+	for {
+		// The next member in global order, unless a queued node of
+		// another cluster comes before it.
+		m := a
+		if b != -1 && (m == -1 || s.rank[b] < s.rank[m]) {
+			m = b
 		}
-		rv := s.trialRoot(int(v), ra, rb)
+		var v dag.NodeID
+		var queuePred, cluster int32
+		switch {
+		case len(s.heap) > 0 && (m == -1 || s.heap[0] < s.rank[m]):
+			v = s.ord[s.pop()]
+			queuePred, cluster = s.qprev[v], s.root[v]
+		case m == -1:
+			break walk
+		default:
+			if m == a {
+				a = s.qnext[a]
+			} else {
+				b = s.qnext[b]
+			}
+			v, queuePred, cluster = dag.NodeID(m), last, rb32
+			last = m
+		}
+
+		var start int64
+		if queuePred >= 0 {
+			start = s.fin[queuePred]
+		}
 		preds, ws := s.csr.Preds(v)
 		for j, u := range preds {
-			t := s.finOf(u)
-			if s.trialRoot(int(u), ra, rb) != rv {
+			t := s.fin[u]
+			ru := s.root[u]
+			if ru == ra32 {
+				ru = rb32
+			}
+			if ru != cluster {
 				t += ws[j]
 			}
-			if t > start {
-				start = t
-			}
+			start = max(start, t)
 		}
 		f := start + s.g.Weight(v)
-		if isMember {
-			lastMerged = v
-		}
 		if f == s.fin[v] {
 			continue // unchanged: nothing downstream can move through v
 		}
-		s.tf[v] = f
-		s.tfEp[v] = s.epoch
-		s.touched = append(s.touched, v)
+		s.undoNode = append(s.undoNode, v)
+		s.undoFin = append(s.undoFin, s.fin[v])
+		s.fin[v] = f
 		succs, _ := s.csr.Succs(v)
 		for _, t := range succs {
-			s.push(t)
+			s.push(t, ra32, rb32)
 		}
-		// Members' queue successors are members too (same committed
-		// chain) and already seeded; only foreign chains need the push.
+		// A member's queue successor is a member, walked anyway; push
+		// skips it. Another cluster's is in that cluster's chain.
 		if nx := s.qnext[v]; nx >= 0 {
-			s.push(dag.NodeID(nx))
+			s.push(dag.NodeID(nx), ra32, rb32)
 		}
 	}
 
 	// Finish times grow along every queue, so the makespan is the max
-	// over live cluster tails; the merged tail is whichever of the two
-	// old tails comes later in global order.
-	mergedTail := s.tail[ra]
-	if s.rank[s.tail[rb]] > s.rank[mergedTail] {
-		mergedTail = s.tail[rb]
-	}
+	// over live cluster tails; the merged tail is the last member
+	// walked.
 	var ms int64
 	for _, r := range s.roots {
 		t := s.tail[r]
-		switch int(r) {
-		case ra:
+		switch r {
+		case ra32:
 			continue
-		case rb:
-			t = mergedTail
+		case rb32:
+			t = last
 		}
-		if f := s.finOf(dag.NodeID(t)); f > ms {
-			ms = f
-		}
+		ms = max(ms, s.fin[t])
 	}
 	return ms
 }
 
-// commit applies the most recent trial: overlay finish times become
-// committed, the two chains are merged in global order, and ra's
-// cluster is absorbed into rb's.
+// rollback restores the committed finish times the last trial
+// overwrote.
+//
+//lint:boundedidx undoNode holds NodeIDs in [0,n) and undoFin has its length
+func (s *state) rollback() {
+	for i, v := range s.undoNode {
+		s.fin[v] = s.undoFin[i]
+	}
+}
+
+// commit keeps the last trial: its finish times already stand in fin,
+// the two chains are merged in global order, and ra's cluster is
+// absorbed into rb's.
 //
 //lint:boundedidx indexes are NodeIDs/root positions in [0,n)
 func (s *state) commit(ra, rb int) {
-	for _, v := range s.touched {
-		s.fin[v] = s.tf[v]
-	}
 	a, b := s.head[ra], s.head[rb]
 	var h, t int32 = -1, -1
 	for a != -1 || b != -1 {
 		var x int32
 		if b == -1 || (a != -1 && s.rank[a] < s.rank[b]) {
 			x, a = a, s.qnext[a]
+			s.root[x] = int32(rb)
 		} else {
 			x, b = b, s.qnext[b]
 		}
@@ -431,7 +417,6 @@ func (s *state) commit(ra, rb int) {
 	}
 	s.qnext[t] = -1
 	s.head[rb], s.tail[rb] = h, t
-	s.parent[ra] = rb
 	i := s.rootPos[ra]
 	lastRoot := s.roots[len(s.roots)-1]
 	s.roots[i] = lastRoot
@@ -440,12 +425,11 @@ func (s *state) commit(ra, rb int) {
 }
 
 // placement lays each committed cluster on its own processor, roots in
-// ascending ID order, members in chain (level desc, id asc) order —
-// the identical layout the full-rescan placement computes by sorting.
+// ascending ID order, members in chain (level desc, id asc) order.
 //
 //lint:boundedidx chain links only hold NodeIDs in [0,n)
 func (s *state) placement() *sched.Placement {
-	sort.Slice(s.roots, func(i, j int) bool { return s.roots[i] < s.roots[j] })
+	slices.Sort(s.roots)
 	pl := sched.NewPlacement(s.n)
 	for pi, r := range s.roots {
 		for v := s.head[r]; v != -1; v = s.qnext[v] {
@@ -453,107 +437,4 @@ func (s *state) placement() *sched.Placement {
 		}
 	}
 	return pl
-}
-
-// scheduleFullRescan is the pre-incremental implementation: every
-// trial merge rebuilds a placement and replays the full timing model.
-// Retained as the estimator oracle; only the oracle tests and an
-// explicit newFullRescan construction reach it.
-//
-//lint:coldescape cold oracle path, never on the production schedule route
-func (e *EZ) scheduleFullRescan(ctx context.Context, g *dag.Graph) (*sched.Placement, error) { //lint:boundedidx cold oracle path, indexes are node IDs in [0,n)
-	n := g.NumNodes()
-	if n == 0 {
-		return sched.NewPlacement(0), nil
-	}
-	level, err := g.BLevels()
-	if err != nil {
-		return nil, err
-	}
-
-	clusters := make([]int, n)
-	for i := range clusters {
-		clusters[i] = i
-	}
-
-	current, err := e.estimate(g, level, clusters)
-	if err != nil {
-		return nil, err
-	}
-	if e.estLog != nil {
-		*e.estLog = append(*e.estLog, current)
-	}
-	for _, edge := range sortedEdges(g) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ra, rb := find(clusters, int(edge.From)), find(clusters, int(edge.To))
-		if ra == rb {
-			continue // already zeroed transitively
-		}
-		// Trial merge on a copy: undoing a union under path
-		// compression is error-prone, cloning is cheap at these sizes.
-		trial := append([]int(nil), clusters...)
-		trial[ra] = rb
-		merged, err := e.estimate(g, level, trial)
-		if err != nil {
-			return nil, err
-		}
-		if e.estLog != nil {
-			*e.estLog = append(*e.estLog, merged)
-		}
-		if merged <= current {
-			current = merged
-			clusters = trial
-		}
-	}
-	return e.fullPlacement(g, level, clusters), nil
-}
-
-// fullPlacement lays each cluster on its own processor, ordered by
-// descending level (ties to the smaller ID).
-//
-//lint:coldescape cold oracle path, never on the production schedule route
-func (e *EZ) fullPlacement(g *dag.Graph, level []int64, clusters []int) *sched.Placement { //lint:boundedidx cold oracle path, indexes are node IDs in [0,n)
-	n := g.NumNodes()
-	byRoot := map[int][]dag.NodeID{}
-	var roots []int
-	for v := 0; v < n; v++ {
-		r := find(clusters, v)
-		if len(byRoot[r]) == 0 {
-			roots = append(roots, r)
-		}
-		byRoot[r] = append(byRoot[r], dag.NodeID(v))
-	}
-	sort.Ints(roots)
-	pl := sched.NewPlacement(n)
-	// The comparator is hoisted out of the loop (capturing the shared
-	// members variable) so each cluster sort reuses one function value.
-	var members []dag.NodeID
-	byLevel := func(i, j int) bool {
-		if level[members[i]] != level[members[j]] {
-			return level[members[i]] > level[members[j]]
-		}
-		return members[i] < members[j]
-	}
-	for pi, r := range roots {
-		members = byRoot[r]
-		sort.Slice(members, byLevel)
-		for _, v := range members {
-			pl.Assign(v, pi)
-		}
-	}
-	return pl
-}
-
-// estimate returns the parallel time of the clustering (full rescan).
-func (e *EZ) estimate(g *dag.Graph, level []int64, clusters []int) (int64, error) {
-	s, err := sched.Build(g, e.fullPlacement(g, level, clusters))
-	if err != nil {
-		return 0, err
-	}
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	return s.Makespan, nil
 }

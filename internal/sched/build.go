@@ -25,7 +25,7 @@ func Build(g *dag.Graph, pl *Placement) (*Schedule, error) {
 	pl.Compact()
 	// The placement was checked above and Compact preserves validity,
 	// so skip BuildWith's re-check.
-	return buildWith(g, pl, UniformDelay)
+	return buildWith(g, pl, UniformDelay, nil)
 }
 
 // MustBuild is Build for placements known to be valid by construction;

@@ -196,6 +196,33 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateLongUnsortedBucket puts every task of a wide graph on one
+// processor in descending node order, the worst case for the insertion
+// sort Validate buckets with, so the pdqsort fallback must order it.
+func TestValidateLongUnsortedBucket(t *testing.T) {
+	const n = 3000
+	g := dag.New("wide")
+	for i := 0; i < n; i++ {
+		g.AddNode(int64(1 + i%7))
+	}
+	pl := NewPlacement(n)
+	for v := n - 1; v >= 0; v-- {
+		pl.Assign(dag.NodeID(v), 0)
+	}
+	s, err := Build(g, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("valid serial schedule rejected: %v", err)
+	}
+	s.ByNode[0].Start-- // overlaps node 1, which runs just before it
+	s.ByNode[0].Finish--
+	if err := s.Validate(); err == nil {
+		t.Fatal("expected an overlap error")
+	}
+}
+
 func TestValidateCatchesCommViolation(t *testing.T) {
 	g := chain3()
 	pl := NewPlacement(3)
