@@ -37,6 +37,25 @@ func WordsFor(n int) int {
 	return (n + wordBits - 1) / wordBits
 }
 
+// Carve returns count empty sets of capacity n whose words are carved
+// from one backing array: a whole closure costs three allocations (the
+// words, the set headers and the pointers) instead of two per set.
+func Carve(count, n int) []*Set {
+	wpn := WordsFor(n)
+	words := make([]uint64, count*wpn)
+	sets := make([]Set, count)
+	out := make([]*Set, count)
+	for i := range sets {
+		if uint(wpn) > uint(len(words)) {
+			break // unreachable: words holds count windows of wpn
+		}
+		sets[i] = Set{n: n, words: words[:wpn:wpn]}
+		words = words[wpn:]
+		out[i] = &sets[i]
+	}
+	return out
+}
+
 // Wrap returns a set of capacity n backed by the caller's word slice,
 // whose length must be exactly WordsFor(n). The set is returned by
 // value so that scratch-backed sets (see internal/arena) cost no
@@ -159,6 +178,29 @@ func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
+}
+
+// Next returns the smallest element of the set that is at least i, or
+// -1 if there is none. Iterating with it needs no callback:
+//
+//	for i := s.Next(0); i >= 0; i = s.Next(i + 1) { ... }
+func (s *Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	wi := uint(i) / wordBits
+	if wi >= uint(len(s.words)) {
+		return -1
+	}
+	if w := s.words[wi] >> (uint(i) % wordBits); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < uint(len(s.words)); wi++ {
+		if w := s.words[wi]; w != 0 {
+			return int(wi)*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // ForEach calls f for each element of the set in increasing order.

@@ -34,7 +34,7 @@ package clan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"schedcomp/internal/arena"
@@ -97,11 +97,9 @@ type Tree struct {
 // Parse decomposes g into its clan parse tree. It fails only if g is
 // cyclic. A graph with no nodes yields a nil Root.
 func Parse(g *dag.Graph) (*Tree, error) {
-	desc, err := g.Descendants()
-	if err != nil {
-		return nil, err
-	}
-	anc, err := g.Ancestors()
+	scratch := arena.Get()
+	defer scratch.Release()
+	p, err := newParser(g, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -114,19 +112,6 @@ func Parse(g *dag.Graph) (*Tree, error) {
 	for i := range members {
 		members[i] = dag.NodeID(i)
 	}
-	// The BFS scratch (two bit sets and the work stack) lives in pooled
-	// arena memory for the duration of the parse; the tree itself is
-	// built from ordinary allocations since it escapes.
-	scratch := arena.Get()
-	defer scratch.Release()
-	unvisited, tmp := scratch.Bitset(n), scratch.Bitset(n)
-	p := &parser{
-		desc:      desc,
-		anc:       anc,
-		unvisited: &unvisited,
-		tmp:       &tmp,
-		stack:     scratch.NodeIDs(n)[:0],
-	}
 	t.Root = p.decompose(members)
 	return t, nil
 }
@@ -135,9 +120,34 @@ type parser struct {
 	desc []*bitset.Set
 	anc  []*bitset.Set
 	// Scratch reused across the single-threaded recursion.
-	unvisited *bitset.Set
-	tmp       *bitset.Set
+	unvisited bitset.Set
+	tmp       bitset.Set
+	comp      bitset.Set
 	stack     []dag.NodeID
+}
+
+// newParser returns a parser over g's cached closures. Its BFS scratch
+// (three bit sets and the work stack) lives in scratch for the
+// duration of the parse; the tree itself is built from ordinary
+// allocations since it escapes.
+func newParser(g *dag.Graph, scratch *arena.Scratch) (*parser, error) {
+	desc, err := g.Descendants()
+	if err != nil {
+		return nil, err
+	}
+	anc, err := g.Ancestors()
+	if err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
+	return &parser{
+		desc:      desc,
+		anc:       anc,
+		unvisited: scratch.Bitset(n),
+		tmp:       scratch.Bitset(n),
+		comp:      scratch.Bitset(n),
+		stack:     scratch.NodeIDs(n)[:0],
+	}, nil
 }
 
 // before reports whether u is an ancestor of v.
@@ -168,8 +178,14 @@ func (p *parser) decompose(members []dag.NodeID) *Node {
 	if len(blocks) > 1 {
 		// Order the blocks: uniform reachability between blocks is a
 		// strict total order (transitive via reachability).
-		sort.Slice(blocks, func(i, j int) bool {
-			return p.before(blocks[i][0], blocks[j][0])
+		slices.SortFunc(blocks, func(a, b []dag.NodeID) int {
+			switch {
+			case p.before(a[0], b[0]):
+				return -1
+			case p.before(b[0], a[0]):
+				return 1
+			}
+			return 0
 		})
 		node := &Node{Kind: Linear, Members: members}
 		for _, b := range blocks {
@@ -235,28 +251,25 @@ func (p *parser) uniform(a, b []dag.NodeID) bool {
 // of u are (desc[u] ∪ anc[u]) ∩ unvisited, and under incomparability
 // the complement, unvisited ∖ desc[u] ∖ anc[u].
 //
-// Components are returned with members ascending, ordered by their
-// smallest member, so the result is deterministic: every caller passes
-// members ascending, and BFS seeds are taken in that order.
+// Each component is gathered in a bit set and emitted ascending, and
+// components are ordered by their smallest member, so the result is
+// deterministic: every caller passes members ascending, and BFS seeds
+// are taken in that order.
 func (p *parser) components(members []dag.NodeID, incomparable bool) [][]dag.NodeID {
-	uv := p.unvisited
+	uv, tmp, comp := &p.unvisited, &p.tmp, &p.comp
 	uv.Clear()
 	for _, v := range members {
 		uv.Add(int(v))
 	}
-	tmp := p.tmp
 	var out [][]dag.NodeID
 	for _, seed := range members {
 		if !uv.Contains(int(seed)) {
 			continue
 		}
 		uv.Remove(int(seed))
-		comp := []dag.NodeID{seed}
+		comp.Clear()
+		comp.Add(int(seed))
 		p.stack = append(p.stack[:0], seed)
-		grab := func(i int) {
-			comp = append(comp, dag.NodeID(i))
-			p.stack = append(p.stack, dag.NodeID(i))
-		}
 		for len(p.stack) > 0 {
 			u := p.stack[len(p.stack)-1]
 			p.stack = p.stack[:len(p.stack)-1]
@@ -270,10 +283,22 @@ func (p *parser) components(members []dag.NodeID, incomparable bool) [][]dag.Nod
 				tmp.Intersect(uv)
 			}
 			uv.Subtract(tmp)
-			tmp.ForEach(grab)
+			comp.Union(tmp)
+			for i := tmp.Next(0); i >= 0; i = tmp.Next(i + 1) {
+				p.stack = append(p.stack, dag.NodeID(i))
+			}
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		out = append(out, comp)
+		out = append(out, ascending(comp))
+	}
+	return out
+}
+
+// ascending returns the members of s in increasing order, in a slice
+// of exactly their number.
+func ascending(s *bitset.Set) []dag.NodeID {
+	out := make([]dag.NodeID, 0, s.Count())
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
+		out = append(out, dag.NodeID(i))
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package clan
 
 import (
+	"slices"
 	"sort"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/bitset"
 	"schedcomp/internal/dag"
 )
@@ -147,22 +149,13 @@ func moduleClosure(desc []*bitset.Set, inSet *bitset.Set, members []dag.NodeID, 
 // (clans of a clan are clans of the graph, so global reachability is
 // the correct internal relation).
 func ParseMembers(g *dag.Graph, members []dag.NodeID) (*Node, error) {
-	desc, err := g.Descendants()
+	scratch := arena.Get()
+	defer scratch.Release()
+	p, err := newParser(g, scratch)
 	if err != nil {
 		return nil, err
 	}
-	anc, err := g.Ancestors()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
-	p := &parser{
-		desc:      desc,
-		anc:       anc,
-		unvisited: bitset.New(n),
-		tmp:       bitset.New(n),
-	}
-	sorted := append([]dag.NodeID(nil), members...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
 	return p.decompose(sorted), nil
 }

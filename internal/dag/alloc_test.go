@@ -36,7 +36,8 @@ func allocGraph() *Graph {
 // 223, 185 and 172 allocations; per-edge appends, sort.Slice and the
 // re-parsed body dominated. Decoding fell again, from 52 to 31, when
 // the single-pass scanner replaced encoding/json's reflection for the
-// body shape clients send.
+// body shape clients send, and to 24 when the topological sort behind
+// Validate stopped growing its ready list.
 func TestRequestPathAllocCeilings(t *testing.T) {
 	g := allocGraph()
 	body, err := json.Marshal(g)
@@ -52,13 +53,50 @@ func TestRequestPathAllocCeilings(t *testing.T) {
 		// (CSR included), as a request's freshly decoded graph does.
 		{"CanonicalHash", 30, func() { g.invalidate(); g.CanonicalHash() }},
 		{"CanonicalClone", 8, func() { g.CanonicalClone() }},
-		{"ReadJSON", 32, func() {
+		{"ReadJSON", 24, func() {
 			if _, err := ReadJSON(bytes.NewReader(body)); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	} {
 		got := testing.AllocsPerRun(50, c.f)
+		t.Logf("%s: %v allocs", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %v allocs per call, ceiling %v", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// The topological sort and the two reachability closures allocate a
+// fixed handful of arrays, whatever the graph's size: the order and
+// one buffer for the in-degrees and the ready heap; the words, set
+// headers and pointers of each closure. A bit set per node used to
+// cost two allocations each.
+func TestAnalysisAllocCeilings(t *testing.T) {
+	g := allocGraph()
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		f       func()
+	}{
+		{"TopoOrder", 2, func() {
+			if _, err := g.computeTopoOrder(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Descendants", 3, func() { g.computeDescendants(order) }},
+		{"Ancestors", 3, func() { g.computeAncestors(order) }},
+	} {
+		// The compute functions read the memoized CSR under the lock.
+		got := testing.AllocsPerRun(50, func() {
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			c.f()
+		})
 		t.Logf("%s: %v allocs", c.name, got)
 		if got > c.ceiling {
 			t.Errorf("%s: %v allocs per call, ceiling %v", c.name, got, c.ceiling)

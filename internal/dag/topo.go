@@ -18,43 +18,32 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 
 // computeTopoOrder is the raw Kahn's-algorithm pass behind TopoOrder.
 // It sweeps the flat CSR view rather than the [][]Arc mutation-time
-// representation, as do all the cached analyses below.
+// representation, as do all the cached analyses below. The ready
+// nodes wait in a binary min-heap on ID, so the order is smallest ID
+// first in O((V+E) log V) whatever the graph's shape; the heap and
+// the in-degree countdown share one allocation.
 func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 	csr := g.csrLocked()
 	n := g.NumNodes()
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = csr.InDegree(NodeID(i))
-	}
-	// A simple ordered worklist: ready nodes kept sorted by scanning.
-	// For determinism we use a min-heap behaviour via a sorted insert;
-	// graphs here are small (tens to hundreds of nodes), so the O(n^2)
-	// worst case is irrelevant and the constant factor tiny.
-	var ready []NodeID
-	push := func(v NodeID) {
-		i := len(ready)
-		ready = append(ready, v)
-		for i > 0 && ready[i-1] > v {
-			ready[i] = ready[i-1]
-			i--
-		}
-		ready[i] = v
-	}
-	for i := 0; i < n; i++ {
+	buf := make([]int32, 2*n)
+	indeg, ready := buf[:n:n], buf[n:n]
+	for i := range indeg {
+		indeg[i] = int32(csr.InDegree(NodeID(i)))
 		if indeg[i] == 0 {
-			ready = append(ready, NodeID(i))
+			// Ascending IDs already form a valid min-heap.
+			ready = append(ready, int32(i))
 		}
 	}
 	order := make([]NodeID, 0, n)
 	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		succs, _ := csr.Succs(v)
+		var v int32
+		v, ready = popMinID(ready)
+		order = append(order, NodeID(v))
+		succs, _ := csr.Succs(NodeID(v))
 		for _, to := range succs {
 			indeg[to]--
 			if indeg[to] == 0 {
-				push(to)
+				ready = pushMinID(ready, int32(to))
 			}
 		}
 	}
@@ -62,6 +51,52 @@ func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 		return nil, fmt.Errorf("%w: %d of %d nodes ordered", ErrCycle, len(order), n)
 	}
 	return order, nil
+}
+
+// pushMinID adds v to the min-heap h. h has room for every node, so
+// the append never reallocates.
+func pushMinID(h []int32, v int32) []int32 {
+	h = append(h, v)
+	siftID(h, uint(len(h)-1))
+	return h
+}
+
+// popMinID removes and returns the smallest ID in the min-heap h.
+func popMinID(h []int32) (int32, []int32) {
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	siftID(h, 0)
+	return top, h
+}
+
+// siftID moves entry i of the min-heap h up or down to its place. The
+// indices are unsigned and compared with the length right where they
+// index, so the compiler proves every access in bounds.
+func siftID(h []int32, i uint) {
+	n := uint(len(h))
+	for 0 < i && i < n {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	for i < n {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h[r] < h[c] {
+			c = r
+		}
+		if c >= n || h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // TopoPositions returns pos such that pos[n] is node n's index in the
@@ -87,10 +122,7 @@ func (g *Graph) Descendants() ([]*bitset.Set, error) {
 func (g *Graph) computeDescendants(order []NodeID) []*bitset.Set {
 	csr := g.csrLocked()
 	n := g.NumNodes()
-	desc := make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		desc[i] = bitset.New(n)
-	}
+	desc := bitset.Carve(n, n)
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		succs, _ := csr.Succs(v)
@@ -114,10 +146,7 @@ func (g *Graph) Ancestors() ([]*bitset.Set, error) {
 func (g *Graph) computeAncestors(order []NodeID) []*bitset.Set {
 	csr := g.csrLocked()
 	n := g.NumNodes()
-	anc := make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		anc[i] = bitset.New(n)
-	}
+	anc := bitset.Carve(n, n)
 	for _, v := range order {
 		preds, _ := csr.Preds(v)
 		for _, from := range preds {

@@ -1,12 +1,20 @@
 // Package dcp implements a mobility-driven list scheduler inspired by
-// Kwok & Ahmad's Dynamic Critical Path algorithm. Each step recomputes
-// earliest and latest start times (AEST/ALST) over the partial
-// schedule; among the ready tasks it picks the one with the smallest
-// mobility (ALST − AEST — zero mobility means the task sits on the
-// current dynamic critical path), places it with gap insertion on the
-// processor that minimizes its start, and breaks processor ties with a
-// one-step lookahead toward the task's critical child (preferring the
-// processor from which that child could start earliest).
+// Kwok & Ahmad's Dynamic Critical Path algorithm. Among the ready tasks
+// it picks the one with the smallest mobility (ALST − AEST over the
+// partial schedule — zero mobility means the task sits on the current
+// dynamic critical path), places it with gap insertion on the processor
+// that minimizes its start, and breaks processor ties with a one-step
+// lookahead toward the task's critical child (preferring the processor
+// from which that child could start earliest).
+//
+// Only ready tasks are placed, so every successor of an unplaced task
+// is unplaced, and an unplaced task's ALST is the schedule-length bound
+// minus its b-level. Its mobility is then the bound minus (b-level +
+// AEST): the bound cancels from every comparison, so tasks rank by
+// b-level + AEST, largest first, and no ALST is ever computed. AEST
+// starts as the t-level; each commit pins the task at its start and
+// re-times only its descendants, in topological order, stopping
+// wherever a value does not change.
 //
 // Deviation from the original DCP: the original may reserve slots for
 // tasks whose parents are not yet scheduled; the common placement
@@ -17,8 +25,12 @@
 package dcp
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
+	"schedcomp/internal/arena"
+	"schedcomp/internal/bitset"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
 	"schedcomp/internal/sched"
@@ -60,167 +72,110 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 	if err != nil {
 		return nil, err
 	}
-
-	scheduled := make([]bool, n)
-	proc := make([]int, n)
-	start := make([]int64, n)
-	finish := make([]int64, n)
-	missing := make([]int, n)
-	for v := 0; v < n; v++ {
-		missing[v] = g.InDegree(dag.NodeID(v))
+	pos, err := g.TopoPositions()
+	if err != nil {
+		return nil, err
 	}
+	bl, err := g.BLevels()
+	if err != nil {
+		return nil, err
+	}
+	tl, err := g.TLevels()
+	if err != nil {
+		return nil, err
+	}
+
+	scratch := arena.Get()
+	defer scratch.Release()
+	ts := make([]task, n)
+	ready := scratch.NodeIDs(n)[:0]
+	bl, tl = bl[:n], tl[:n]
+	for v := range ts {
+		id := dag.NodeID(v)
+		preds := g.Preds(id)
+		ts[v] = task{preds: preds, succs: g.Succs(id), w: g.Weight(id), bl: bl[v], aest: tl[v], missing: len(preds)}
+		if len(preds) == 0 {
+			ready = append(ready, id)
+		}
+	}
+	rt := retimer{order: order, pos: pos, ts: ts, dirty: scratch.Bitset(n)}
 	var timelines [][]slot
 
-	aest := make([]int64, n)
-	alst := make([]int64, n)
-
-	recompute := func() {
-		// AEST forward: scheduled tasks are pinned; unscheduled ones
-		// assume full communication from every predecessor (their
-		// processor is unknown).
-		for _, v := range order {
-			if scheduled[v] {
-				aest[v] = start[v]
-				continue
-			}
-			var e int64
-			for _, a := range g.Preds(v) {
-				p := a.To
-				var t int64
-				if scheduled[p] {
-					t = finish[p] + a.Weight
-				} else {
-					t = aest[p] + g.Weight(p) + a.Weight
-				}
-				if t > e {
-					e = t
-				}
-			}
-			aest[v] = e
-		}
-		// Schedule-length bound, then ALST backward.
-		var bound int64
-		for v := 0; v < n; v++ {
-			if c := aest[v] + g.Weight(dag.NodeID(v)); c > bound {
-				bound = c
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
-			if scheduled[v] {
-				alst[v] = start[v]
-				continue
-			}
-			l := bound - g.Weight(v)
-			for _, a := range g.Succs(v) {
-				s := a.To
-				var t int64
-				if scheduled[s] {
-					t = start[s] - a.Weight - g.Weight(v)
-				} else {
-					t = alst[s] - a.Weight - g.Weight(v)
-				}
-				if t < l {
-					l = t
-				}
-			}
-			alst[v] = l
-		}
-	}
-
-	earliestOn := func(v dag.NodeID, p int) int64 {
+	// earliestOn returns the earliest start of t on processor p, whose
+	// timeline is tl: its data-ready time, pushed into the first gap
+	// that fits it. A fresh processor has an empty timeline, and every
+	// predecessor's message reaches it at full cost.
+	earliestOn := func(t *task, p int, tl []slot) int64 {
 		var ready int64
-		for _, a := range g.Preds(v) {
-			t := finish[a.To]
-			if proc[a.To] != p {
-				t += a.Weight
+		for _, a := range t.preds {
+			u := &ts[a.To]
+			at := u.finish
+			if u.proc != p {
+				at += a.Weight
 			}
-			if t > ready {
-				ready = t
-			}
+			ready = max(ready, at)
 		}
-		// Gap insertion.
-		w := g.Weight(v)
 		cur := ready
-		for _, s := range timelines[p] {
-			if cur+w <= s.start {
+		for _, s := range tl {
+			if cur+t.w <= s.start {
 				return cur
 			}
-			if s.finish > cur {
-				cur = s.finish
-			}
+			cur = max(cur, s.finish)
 		}
 		return cur
 	}
 
-	// criticalChild returns v's unscheduled successor with the least
-	// mobility (the one the dynamic critical path runs through).
-	criticalChild := func(v dag.NodeID) (dag.NodeID, int64, bool) {
-		best := dag.NodeID(-1)
-		var bestMob, edge int64
-		for _, a := range g.Succs(v) {
-			if scheduled[a.To] {
-				continue
-			}
-			mob := alst[a.To] - aest[a.To]
-			if best < 0 || mob < bestMob || (mob == bestMob && a.To < best) {
-				best, bestMob, edge = a.To, mob, a.Weight
-			}
-		}
-		return best, edge, best >= 0
-	}
-
-	for done := 0; done < n; done++ {
+	for len(ready) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		recompute()
-		// Ready task with minimal mobility; ties to smaller AEST, then
-		// smaller ID.
-		pick := dag.NodeID(-1)
-		var pickMob int64
-		for v := 0; v < n; v++ {
-			if scheduled[v] || missing[v] != 0 {
-				continue
+		// Take the ready task with minimal mobility (maximal b-level +
+		// AEST), ties to smaller AEST, then smaller ID; every other
+		// ready task stays in ready[:last].
+		last := len(ready) - 1
+		pick := ready[last]
+		pt := &ts[pick]
+		for i, v := range ready[:last] {
+			t := &ts[v]
+			r, rp := t.bl+t.aest, pt.bl+pt.aest
+			if r > rp || (r == rp && (t.aest < pt.aest || (t.aest == pt.aest && v < pick))) {
+				ready[i], pick, pt = pick, v, t
 			}
-			mob := alst[v] - aest[v]
-			node := dag.NodeID(v)
-			better := pick < 0 || mob < pickMob ||
-				(mob == pickMob && aest[node] < aest[pick]) ||
-				(mob == pickMob && aest[node] == aest[pick] && node < pick)
-			if better {
-				pick, pickMob = node, mob
+		}
+		ready = ready[:last]
+
+		// The critical child is the successor with the least mobility
+		// (the one the dynamic critical path runs through), ties to the
+		// lower ID; every successor of the unplaced pick is unplaced.
+		// The same pass counts pick as placed for its successors.
+		cc, hasCC := dag.NodeID(-1), false
+		var ccRank int64
+		for _, a := range pt.succs {
+			t := &ts[a.To]
+			if r := t.bl + t.aest; !hasCC || r > ccRank || (r == ccRank && a.To < cc) {
+				cc, ccRank, hasCC = a.To, r, true
+			}
+			if t.missing--; t.missing == 0 {
+				ready = append(ready, a.To)
 			}
 		}
 
-		// Processor choice: minimize start; among starts within the
-		// critical child's edge weight of the best, prefer the
-		// processor minimizing the child's estimated local start.
-		cc, ccEdge, hasCC := criticalChild(pick)
+		// Processor choice: minimize start; among equal starts, prefer
+		// the processor minimizing the critical child's estimated
+		// local start.
 		bestP, bestStart := -1, int64(0)
 		var bestLook int64
 		for p := 0; p <= len(timelines); p++ {
-			var st int64
+			var tl []slot
 			if p < len(timelines) {
-				st = earliestOn(pick, p)
-			} else {
-				// Fresh processor: pure data-ready time.
-				for _, a := range g.Preds(pick) {
-					if t := finish[a.To] + a.Weight; t > st {
-						st = t
-					}
-				}
+				tl = timelines[p]
 			}
-			look := st + g.Weight(pick)
+			st := earliestOn(pt, p, tl)
+			look := st + pt.w
 			if hasCC {
 				// If the child follows on this processor the edge is
 				// free; its other parents are approximated by AEST.
-				childLocal := look
-				if childAEST := aest[cc]; childAEST > childLocal {
-					childLocal = childAEST
-				}
-				look = childLocal
-				_ = ccEdge
+				look = max(look, ts[cc].aest)
 			}
 			better := bestP == -1 || st < bestStart ||
 				(st == bestStart && look < bestLook)
@@ -234,30 +189,10 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		if bestP == len(timelines) {
 			timelines = append(timelines, nil)
 		}
-		scheduled[pick] = true
-		proc[pick] = bestP
-		start[pick] = bestStart
-		finish[pick] = bestStart + g.Weight(pick)
-		tl := timelines[bestP]
-		// Binary search for the insertion point by hand: a sort.Search
-		// closure here would capture bestStart and allocate on every
-		// scheduling step.
-		i, hi := 0, len(tl)
-		for i < hi {
-			mid := int(uint(i+hi) >> 1)
-			if tl[mid].start >= bestStart {
-				hi = mid
-			} else {
-				i = mid + 1
-			}
-		}
-		tl = append(tl, slot{})
-		copy(tl[i+1:], tl[i:])
-		tl[i] = slot{node: pick, start: bestStart, finish: finish[pick]}
-		timelines[bestP] = tl
-		for _, a := range g.Succs(pick) {
-			missing[a.To]--
-		}
+		pt.proc = bestP
+		pt.finish = bestStart + pt.w
+		timelines[bestP] = insertSlot(timelines[bestP], slot{node: pick, start: bestStart, finish: pt.finish})
+		rt.pin(pick, bestStart)
 	}
 
 	for p, tl := range timelines {
@@ -266,4 +201,66 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		}
 	}
 	return pl, nil
+}
+
+// insertSlot inserts s into tl, which is ordered by start, before the
+// first slot that starts no earlier.
+func insertSlot(tl []slot, s slot) []slot {
+	i, _ := slices.BinarySearchFunc(tl, s.start, func(x slot, start int64) int {
+		return cmp.Compare(x.start, start)
+	})
+	return slices.Insert(tl, i, s)
+}
+
+// task is one task's state during a run.
+type task struct {
+	preds   []dag.Arc
+	succs   []dag.Arc
+	w       int64 // execution weight
+	bl      int64 // b-level: while unplaced, ALST is the bound minus it
+	aest    int64 // AEST; the committed start once placed
+	finish  int64
+	proc    int
+	missing int // unplaced predecessors
+}
+
+// retimer keeps every AEST exact across commits. AEST(v) is the
+// maximum over v's predecessors p of AEST(p) + w(p) + c(p, v), with
+// placed tasks pinned at their start, so pinning a task can change
+// only its descendants' values.
+type retimer struct {
+	order []dag.NodeID // topological order
+	pos   []int        // topological position of each task
+	ts    []task
+	dirty bitset.Set // topological positions of the tasks to re-time
+}
+
+// pin fixes v's AEST at its committed start, then re-times v's
+// descendants in topological order, so that each task's predecessors
+// are final before it, and goes on from a task only when its value
+// changed.
+func (r *retimer) pin(v dag.NodeID, start int64) {
+	if r.ts[v].aest == start {
+		return
+	}
+	r.ts[v].aest = start
+	for i := r.pos[v]; i >= 0; i = r.dirty.Next(i + 1) {
+		u := r.order[i]
+		t := &r.ts[u]
+		if u != v {
+			var e int64
+			for _, a := range t.preds {
+				p := &r.ts[a.To]
+				e = max(e, p.aest+p.w+a.Weight)
+			}
+			if t.aest == e {
+				continue
+			}
+			t.aest = e
+		}
+		for _, a := range t.succs {
+			r.dirty.Add(r.pos[a.To])
+		}
+	}
+	r.dirty.Clear()
 }

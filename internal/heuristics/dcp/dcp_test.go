@@ -65,3 +65,39 @@ func TestCheapForkParallelizes(t *testing.T) {
 		t.Errorf("makespan = %d, want 111", sc.Makespan)
 	}
 }
+
+// requireSamePlacement schedules g with DCP and with the whole-graph
+// reference and fails on any divergence in processor or order.
+func requireSamePlacement(t *testing.T, g *dag.Graph, label string) {
+	t.Helper()
+	fast, err := New().Schedule(g)
+	if err != nil {
+		t.Fatalf("%s: DCP: %v", label, err)
+	}
+	slow, err := referenceSchedule(g)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	if a, b := schedtest.PlacementString(fast), schedtest.PlacementString(slow); a != b {
+		t.Fatalf("%s: DCP and the AEST/ALST reference diverge\n DCP:       %s\n reference: %s", label, a, b)
+	}
+}
+
+// TestMatchesReference holds the b-level + AEST rank and the cone
+// re-timing to the per-step AEST/ALST sweep, byte for byte.
+func TestMatchesReference(t *testing.T) {
+	for _, ng := range schedtest.ReferenceCorpus(t) {
+		requireSamePlacement(t, ng.Graph, ng.Label)
+	}
+}
+
+// FuzzDCPReference holds DCP to the reference on fuzz-built DAGs of
+// up to 40 nodes.
+func FuzzDCPReference(f *testing.F) {
+	for _, seed := range schedtest.FuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireSamePlacement(t, schedtest.FuzzGraph(data), "fuzz graph")
+	})
+}

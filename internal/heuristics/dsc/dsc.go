@@ -37,25 +37,20 @@ func init() {
 
 // DSC is the scheduler. The zero value is ready to use.
 //
-// Levels are maintained incrementally: placing a task on a fresh
-// cluster zeroes no edges and changes no level, and merging a task
-// into a parent cluster only lowers levels inside the ancestor cone of
-// the zeroed edges, which is repaired in reverse topological order
-// (see refreshCone). fullRecompute switches back to the original
-// whole-graph refresh every round; the two paths produce identical
-// placements (asserted by TestIncrementalMatchesFullRecompute) and the
-// slow one is kept as the test oracle.
-type DSC struct {
-	fullRecompute bool
-}
+// DSC only ever places free tasks, so every successor of an unplaced
+// task is unplaced and no edge out of an unplaced task is ever zeroed.
+// The level of every task a priority reads is therefore its b-level
+// for the whole run, and only the startbound moves: it is the maximum
+// arrival over the placed predecessors, raised as each one is placed.
+// A free task's priority is thus fixed, and a partially free task's
+// only rises. Free tasks wait in one max-heap; partially free tasks
+// wait in another, whose stale entries are dropped when they surface.
+// A step costs a few heap operations plus work over the placed task's
+// edges, where a rescan of every node and level would cost O(V+E).
+type DSC struct{}
 
 // New returns a DSC scheduler.
 func New() *DSC { return &DSC{} }
-
-// newFullRecompute returns the reference scheduler that refreshes all
-// levels every round — the pre-incremental O(V·(V+E)) path, kept as
-// the oracle for the equivalence tests.
-func newFullRecompute() *DSC { return &DSC{fullRecompute: true} }
 
 // Name implements heuristics.Scheduler.
 func (d *DSC) Name() string { return "DSC" }
@@ -63,12 +58,13 @@ func (d *DSC) Name() string { return "DSC" }
 type state struct {
 	g       *dag.Graph
 	csr     *dag.CSR       // flat adjacency view of g, same revision
-	cluster []int          // node -> cluster, -1 unscheduled
+	level   []int64        // b-levels: the level of every unplaced task
+	cluster []int          // node -> cluster, -1 unplaced
 	members [][]dag.NodeID // cluster -> ordered tasks
 	free    []int64        // cluster -> time it becomes free
 	st      []int64        // node -> scheduled start time
-	nsched  []int          // node -> count of scheduled predecessors
-	level   []int64        // maintained with zeroed edges
+	nsched  []int          // node -> count of placed predecessors
+	sb      []int64        // node -> startbound over its placed predecessors
 
 	// Epoch-stamped cluster marks: bestParentCluster and ct2
 	// deduplicate parent clusters against mark (slot live when equal to
@@ -77,12 +73,8 @@ type state struct {
 	mark   []int32
 	markEp int32
 
-	// Incremental-maintenance state; nil when running the full
-	// recompute reference path (and in the hand-built unit-test
-	// states, which call recomputeLevels directly).
-	pos    []int        // cached topo position of each node
-	dirty  []dag.NodeID // max-heap of pending nodes, keyed by pos
-	inHeap []bool       // heap membership, to coalesce duplicates
+	freeQ taskHeap // free tasks, each once, at its final priority
+	partQ taskHeap // partially free tasks, plus stale entries
 }
 
 // Schedule implements heuristics.Scheduler.
@@ -93,74 +85,21 @@ func (d *DSC) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per placed task.
 func (d *DSC) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
 	// Per-call working arrays come from the pooled arena; only the
 	// Placement escapes.
 	scratch := arena.Get()
 	defer scratch.Release()
-	s := &state{
-		g:       g,
-		csr:     g.CSR(),
-		cluster: scratch.Ints(n),
-		st:      scratch.Int64s(n),
-		nsched:  scratch.Ints(n),
-		level:   scratch.Int64s(n),
-		mark:    scratch.Int32s(n),
+	s, err := newState(g, scratch)
+	if err != nil {
+		return nil, err
 	}
-	for i := range s.cluster {
-		s.cluster[i] = -1
-	}
-	if !d.fullRecompute {
-		pos, err := g.TopoPositions()
-		if err != nil {
-			return nil, err
-		}
-		bl, err := g.BLevels()
-		if err != nil {
-			return nil, err
-		}
-		// With no clusters yet, no edge is zeroed: the initial levels
-		// are exactly the graph's b-levels (shared cached slice —
-		// copied because place() lowers them in place).
-		copy(s.level, bl)
-		// Read-only snapshot of the topo positions captured with the
-		// same generation as `order`; DSC never writes through it.
-		s.pos = pos //lint:ownedcopy
-		s.inHeap = scratch.Bools(n)
-		s.dirty = scratch.NodeIDs(n)[:0]
-	}
-
+	n := g.NumNodes()
 	for scheduled := 0; scheduled < n; scheduled++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if d.fullRecompute {
-			s.recomputeLevels(order)
-		}
-
-		nx := s.topFree()
-		ny := s.topPartialFree()
-
-		target := -1 // cluster to merge nx into; -1 = new cluster
-		if ny < 0 || s.priority(nx) > s.priority(ny) {
-			if c, ok := s.bestParentCluster(nx); ok && s.startOn(c, nx) <= s.startBound(nx) {
-				target = c // CT1 holds
-			}
-		} else {
-			// The partially free task outranks nx: zero only when both
-			// CT1 and CT2 hold.
-			if c, ok := s.bestParentCluster(nx); ok &&
-				s.startOn(c, nx) <= s.startBound(nx) && s.ct2(c, nx, ny) {
-				target = c
-			}
-		}
-		s.place(nx, target)
+		s.step()
 	}
-
 	pl := sched.NewPlacement(n)
 	for c, ms := range s.members {
 		for _, v := range ms {
@@ -170,184 +109,77 @@ func (d *DSC) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 	return pl, nil
 }
 
-// recomputeLevels refreshes level(n) = longest remaining path including
-// communication, where edges internal to a cluster are already zeroed.
-// It is the whole-graph reference path; the incremental path repairs
-// only the affected ancestor cone (refreshCone).
-func (s *state) recomputeLevels(order []dag.NodeID) {
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		s.level[v] = s.levelOf(v)
+// newState returns the state before the first step, its working
+// arrays carved from scratch. A task enters the free heap once, and
+// the partially free heap at most once per incoming edge.
+func newState(g *dag.Graph, scratch *arena.Scratch) (*state, error) {
+	level, err := g.BLevels()
+	if err != nil {
+		return nil, err
 	}
+	n := g.NumNodes()
+	csr := g.CSR()
+	s := &state{
+		g:       g,
+		csr:     csr,
+		level:   level,
+		cluster: scratch.Ints(n),
+		st:      scratch.Int64s(n),
+		nsched:  scratch.Ints(n),
+		sb:      scratch.Int64s(n),
+		mark:    scratch.Int32s(n),
+		freeQ:   newTaskHeap(scratch, n),
+		partQ:   newTaskHeap(scratch, csr.NumEdges()),
+	}
+	for v := range s.cluster {
+		s.cluster[v] = -1
+		if csr.InDegree(dag.NodeID(v)) == 0 {
+			s.freeQ.push(level[v], dag.NodeID(v))
+		}
+	}
+	return s, nil
 }
 
-// levelOf recomputes one node's level from its successors' current
-// levels and effective (cluster-aware) edge weights.
-func (s *state) levelOf(v dag.NodeID) int64 {
-	var best int64
-	succs, ws := s.csr.Succs(v)
-	for j, to := range succs {
-		c := s.level[to] + s.effWeight(v, to, ws[j])
-		if c > best {
-			best = c
+// step places the highest-priority free task: into its best parent
+// cluster when the acceptance tests allow, on a new cluster otherwise.
+func (s *state) step() {
+	nx := s.freeQ.pop()
+	ny := s.topPartialFree()
+
+	target := -1 // cluster to merge nx into; -1 = new cluster
+	if ny < 0 || s.priority(nx) > s.priority(ny) {
+		if c, ok := s.bestParentCluster(nx); ok && s.startOn(c, nx) <= s.sb[nx] {
+			target = c // CT1 holds
+		}
+	} else {
+		// The partially free task outranks nx: zero only when both
+		// CT1 and CT2 hold.
+		if c, ok := s.bestParentCluster(nx); ok &&
+			s.startOn(c, nx) <= s.sb[nx] && s.ct2(c, nx, ny) {
+			target = c
 		}
 	}
-	return s.g.Weight(v) + best
+	s.place(nx, target)
 }
 
-// refreshCone restores the level invariant after v was merged into
-// cluster c: the edges from v's cluster-c predecessors to v just went
-// to zero, so only those predecessors — and transitively their
-// ancestors, when a level actually drops — can change. Nodes are
-// repaired in decreasing topological position (a max-heap keyed by the
-// cached topo order), so every node's successors are final before the
-// node itself is recomputed, exactly as in the full reverse-topo
-// sweep.
-func (s *state) refreshCone(v dag.NodeID, c int) {
-	preds, _ := s.csr.Preds(v)
-	for _, p := range preds {
-		if s.cluster[p] == c {
-			s.pushDirty(p)
-		}
-	}
-	for len(s.dirty) > 0 {
-		u := s.popDirty()
-		nl := s.levelOf(u)
-		if nl == s.level[u] {
-			continue
-		}
-		s.level[u] = nl
-		ups, _ := s.csr.Preds(u)
-		for _, p := range ups {
-			s.pushDirty(p)
-		}
-	}
-}
+// priority(v) = startbound(v) + level(v), for an unplaced task v.
+func (s *state) priority(v dag.NodeID) int64 { return s.sb[v] + s.level[v] }
 
-// pushDirty adds v to the pending max-heap unless already queued.
-func (s *state) pushDirty(v dag.NodeID) {
-	if s.inHeap[v] {
-		return
-	}
-	s.inHeap[v] = true
-	h, pos := s.dirty, s.pos
-	h = append(h, v)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if pos[h[p]] >= pos[h[i]] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.dirty = h
-}
-
-// popDirty removes and returns the pending node with the greatest
-// topological position.
-func (s *state) popDirty() dag.NodeID {
-	h, pos := s.dirty, s.pos
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && pos[h[l]] > pos[h[big]] {
-			big = l
-		}
-		if r < len(h) && pos[h[r]] > pos[h[big]] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	s.dirty = h
-	s.inHeap[top] = false
-	return top
-}
-
-func (s *state) effWeight(u, v dag.NodeID, w int64) int64 {
-	if s.cluster[u] != -1 && s.cluster[u] == s.cluster[v] {
-		return 0
-	}
-	return w
-}
-
-// isFree reports whether v is unscheduled with every predecessor
-// scheduled.
-func (s *state) isFree(v dag.NodeID) bool {
-	return s.cluster[v] == -1 && s.nsched[v] == s.csr.InDegree(v)
-}
-
-// isPartialFree reports whether v is unscheduled with at least one
-// scheduled and at least one unscheduled predecessor.
-func (s *state) isPartialFree(v dag.NodeID) bool {
-	return s.cluster[v] == -1 && s.nsched[v] > 0 && s.nsched[v] < s.csr.InDegree(v)
-}
-
-// startBound is the paper's startbound: the earliest v could start on a
-// fresh cluster, i.e. the max arrival time over scheduled predecessors.
-func (s *state) startBound(v dag.NodeID) int64 {
-	var b int64
-	preds, ws := s.csr.Preds(v)
-	for j, p := range preds {
-		if s.cluster[p] == -1 {
-			continue
-		}
-		t := s.st[p] + s.g.Weight(p) + ws[j]
-		if t > b {
-			b = t
-		}
-	}
-	return b
-}
-
-// priority(v) = startbound(v) + level(v).
-func (s *state) priority(v dag.NodeID) int64 { return s.startBound(v) + s.level[v] }
-
-// topFree returns the free node with the highest priority (ties to the
-// lower ID). There is always at least one free node in a DAG with
-// unscheduled nodes.
-func (s *state) topFree() dag.NodeID {
-	best := dag.NodeID(-1)
-	var bp int64
-	for i := 0; i < s.g.NumNodes(); i++ {
-		v := dag.NodeID(i)
-		if !s.isFree(v) {
-			continue
-		}
-		if p := s.priority(v); best < 0 || p > bp {
-			best, bp = v, p
-		}
-	}
-	if best < 0 {
-		panic("dsc: no free node in acyclic graph with unscheduled nodes")
-	}
-	return best
-}
-
-// topPartialFree returns the partially free node with the highest
-// priority, or -1 if none exists.
+// topPartialFree returns the partially free task with the highest
+// priority (ties to the lower ID), or -1 if none exists. An entry is
+// stale once its task has become free or its priority has risen past
+// the stored one. Every partially free task has one entry at its
+// current priority, so dropping stale entries from the top loses
+// nothing.
 func (s *state) topPartialFree() dag.NodeID {
-	best := dag.NodeID(-1)
-	var bp int64
-	for i := 0; i < s.g.NumNodes(); i++ {
-		v := dag.NodeID(i)
-		if !s.isPartialFree(v) {
-			continue
+	for len(s.partQ.task) > 0 {
+		v := s.partQ.task[0]
+		if s.nsched[v] < s.csr.InDegree(v) && s.partQ.prio[0] == s.priority(v) {
+			return v
 		}
-		if p := s.priority(v); best < 0 || p > bp {
-			best, bp = v, p
-		}
+		s.partQ.pop()
 	}
-	return best
+	return -1
 }
 
 // startOn returns ST(c, v): the start time v would get appended to
@@ -396,7 +228,7 @@ func (s *state) bestParentCluster(v dag.NodeID) (int, bool) {
 // there must not exceed ny's startbound — evaluated as if nx had
 // already been appended to cluster c.
 func (s *state) ct2(c int, nx, ny dag.NodeID) bool {
-	bound := s.startBound(ny)
+	bound := s.sb[ny]
 	newFreeC := s.startOn(c, nx) + s.g.Weight(nx)
 	s.markEp++
 	preds, _ := s.csr.Preds(ny)
@@ -417,28 +249,91 @@ func (s *state) ct2(c int, nx, ny dag.NodeID) bool {
 	return true
 }
 
-// place commits v to cluster c (or a new cluster when c < 0).
+// place commits v to cluster c (or a new cluster when c < 0), then
+// raises each successor's startbound by the arrival from v and queues
+// the successor as free or partially free.
 func (s *state) place(v dag.NodeID, c int) {
-	merged := c >= 0
 	if c < 0 {
 		c = len(s.members)
 		s.members = append(s.members, nil)
 		s.free = append(s.free, 0)
 	}
 	start := s.startOn(c, v)
+	finish := start + s.g.Weight(v)
 	s.cluster[v] = c
 	s.st[v] = start
-	s.free[c] = start + s.g.Weight(v)
+	s.free[c] = finish
 	s.members[c] = append(s.members[c], v)
-	succs, _ := s.csr.Succs(v)
-	for _, to := range succs {
+	succs, ws := s.csr.Succs(v)
+	for j, to := range succs {
 		s.nsched[to]++
+		raised := finish+ws[j] > s.sb[to]
+		if raised {
+			s.sb[to] = finish + ws[j]
+		}
+		switch k := s.nsched[to]; {
+		case k == s.csr.InDegree(to):
+			s.freeQ.push(s.priority(to), to)
+		case k == 1 || raised:
+			s.partQ.push(s.priority(to), to)
+		}
 	}
-	// A fresh cluster zeroes no edges, so levels are untouched; a
-	// merge zeroes the edges from v's cluster-c predecessors.
-	// (inHeap is nil on the full-recompute path, which refreshes all
-	// levels at the top of each round instead.)
-	if merged && s.inHeap != nil {
-		s.refreshCone(v, c)
+}
+
+// taskHeap is a binary max-heap of tasks on (priority desc, ID asc),
+// as parallel arrays carved from the arena at a capacity the caller
+// bounds.
+type taskHeap struct {
+	prio []int64
+	task []dag.NodeID
+}
+
+func newTaskHeap(scratch *arena.Scratch, capacity int) taskHeap {
+	return taskHeap{prio: scratch.Int64s(capacity)[:0], task: scratch.NodeIDs(capacity)[:0]}
+}
+
+// above reports whether entry i ranks above entry j.
+func (h *taskHeap) above(i, j int) bool {
+	return h.prio[i] > h.prio[j] || (h.prio[i] == h.prio[j] && h.task[i] < h.task[j])
+}
+
+func (h *taskHeap) swap(i, j int) {
+	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
+	h.task[i], h.task[j] = h.task[j], h.task[i]
+}
+
+func (h *taskHeap) push(prio int64, v dag.NodeID) {
+	h.prio = append(h.prio, prio)
+	h.task = append(h.task, v)
+	for i := len(h.task) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.above(i, parent) {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
 	}
+}
+
+// pop removes and returns the top task.
+func (h *taskHeap) pop() dag.NodeID {
+	top := h.task[0]
+	last := len(h.task) - 1
+	h.prio[0], h.task[0] = h.prio[last], h.task[last]
+	h.prio, h.task = h.prio[:last], h.task[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h.above(r, c) {
+			c = r
+		}
+		if !h.above(c, i) {
+			break
+		}
+		h.swap(i, c)
+		i = c
+	}
+	return top
 }

@@ -1,127 +1,118 @@
 package dsc
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
-	"schedcomp/internal/corpus"
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics/schedtest"
-	"schedcomp/internal/paperex"
-	"schedcomp/internal/sched"
 )
 
-// canon serializes a placement so byte equality means identical
-// scheduling decisions (processor assignment and per-cluster order).
-func canon(pl *sched.Placement) string {
-	return fmt.Sprintf("proc=%v order=%v", pl.Proc, pl.Order)
-}
-
-// requireSamePlacement schedules g with both the incremental DSC and
-// the full-recompute reference and fails on any divergence.
+// requireSamePlacement schedules g with DSC and with the whole-graph
+// reference and fails on any divergence in processor or order.
 func requireSamePlacement(t *testing.T, g *dag.Graph, label string) {
 	t.Helper()
 	fast, err := New().Schedule(g)
 	if err != nil {
-		t.Fatalf("%s: incremental: %v", label, err)
+		t.Fatalf("%s: DSC: %v", label, err)
 	}
-	slow, err := newFullRecompute().Schedule(g)
+	slow, err := referenceSchedule(g)
 	if err != nil {
-		t.Fatalf("%s: full recompute: %v", label, err)
+		t.Fatalf("%s: reference: %v", label, err)
 	}
-	if a, b := canon(fast), canon(slow); a != b {
-		t.Fatalf("%s: incremental and full-recompute DSC diverge\n incremental: %s\n reference:   %s", label, a, b)
+	if a, b := schedtest.PlacementString(fast), schedtest.PlacementString(slow); a != b {
+		t.Fatalf("%s: DSC and the full-recompute reference diverge\n DSC:       %s\n reference: %s", label, a, b)
 	}
 }
 
 // TestIncrementalMatchesFullRecompute is the golden equivalence suite:
-// the incremental cone repair must reproduce the original whole-graph
-// level refresh byte-for-byte across the paper worked example, the
-// determinism corpus, dense random DAGs, and a reduced generated
-// corpus covering all 60 classes.
+// static levels and the two priority heaps must reproduce the per-step
+// level refresh and whole-graph rescan byte for byte, ties included.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
-	requireSamePlacement(t, paperex.Graph(), "paper worked example")
-
-	for gi, g := range schedtest.DeterminismCorpus(t, 20260805) {
-		requireSamePlacement(t, g, fmt.Sprintf("determinism corpus graph %d (%s)", gi, g.Name()))
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 40; i++ {
-		n := 5 + rng.Intn(60)
-		g := schedtest.RandomDAG(rng, n, 0.15+0.5*rng.Float64())
-		requireSamePlacement(t, g, fmt.Sprintf("random DAG %d (n=%d)", i, n))
-	}
-
-	spec := corpus.Spec{Seed: 7, GraphsPerSet: 1, MinNodes: 24, MaxNodes: 56}
-	c, err := corpus.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, set := range c.Sets {
-		for _, g := range set.Graphs {
-			requireSamePlacement(t, g, "corpus "+set.Class.String()+" "+g.Name())
-		}
+	for _, ng := range schedtest.ReferenceCorpus(t) {
+		requireSamePlacement(t, ng.Graph, ng.Label)
 	}
 }
 
-// TestIncrementalLevelInvariant hammers the internal invariant
-// directly: after every placement the incrementally maintained levels
-// must equal a from-scratch recomputation over the current cluster
-// assignment.
-func TestIncrementalLevelInvariant(t *testing.T) {
+// FuzzDSCReference holds DSC to the reference on fuzz-built DAGs of
+// up to 40 nodes.
+func FuzzDSCReference(f *testing.F) {
+	for _, seed := range schedtest.FuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		requireSamePlacement(t, schedtest.FuzzGraph(data), "fuzz graph")
+	})
+}
+
+// TestStaticLevelInvariant checks, after every step, the facts the
+// heaps rest on: every successor of an unplaced task is unplaced, so
+// the cluster-aware level of an unplaced task is still its b-level;
+// every free task is queued once at startbound (recomputed from its
+// placed predecessors) plus b-level; and every partially free task's
+// best queued entry carries exactly that priority, with no entry of it
+// above.
+func TestStaticLevelInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		g := schedtest.RandomDAG(rng, 4+rng.Intn(40), 0.3)
+	for trial := 0; trial < 60; trial++ {
+		n := 4 + rng.Intn(40)
+		g := schedtest.RandomDAG(rng, n, 0.1+0.4*rng.Float64())
 		order, err := g.TopoOrder()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos, err := g.TopoPositions()
+		scratch := arena.Get()
+		s, err := newState(g, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bl, err := g.BLevels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := g.NumNodes()
-		s := &state{
-			g:       g,
-			csr:     g.CSR(),
-			cluster: make([]int, n),
-			st:      make([]int64, n),
-			nsched:  make([]int, n),
-			level:   make([]int64, n),
-			mark:    make([]int32, n),
-			pos:     pos,
-			inHeap:  make([]bool, n),
-		}
-		for i := range s.cluster {
-			s.cluster[i] = -1
-		}
-		copy(s.level, bl)
-
-		ref := &state{g: g, csr: g.CSR(), cluster: s.cluster, level: make([]int64, n)}
-		for scheduled := 0; scheduled < n; scheduled++ {
-			nx := s.topFree()
-			target := -1
-			// Exercise merges aggressively: always merge when CT1
-			// alone allows it, regardless of the CT2 policy, so the
-			// cone repair runs on many more edge-zeroing rounds than
-			// the real algorithm would trigger.
-			if c, ok := s.bestParentCluster(nx); ok && s.startOn(c, nx) <= s.startBound(nx) {
-				target = c
-			}
-			s.place(nx, target)
+		ref := &refState{g: g, csr: s.csr, cluster: s.cluster, st: s.st, nsched: s.nsched, level: make([]int64, n)}
+		for step := 0; step < n; step++ {
+			s.step()
 			ref.recomputeLevels(order)
-			for v := 0; v < n; v++ {
-				if s.level[v] != ref.level[v] {
-					t.Fatalf("trial %d: after placing %d levels diverge at node %d: incremental %d, recompute %d",
-						trial, nx, v, s.level[v], ref.level[v])
+			freeSeen := make(map[dag.NodeID]int)
+			for i, v := range s.freeQ.task {
+				freeSeen[v]++
+				if !ref.isFree(v) {
+					t.Fatalf("trial %d step %d: queued task %d is not free", trial, step, v)
+				}
+				if want := ref.startBound(v) + s.level[v]; s.freeQ.prio[i] != want {
+					t.Fatalf("trial %d step %d: free task %d queued at %d, want %d", trial, step, v, s.freeQ.prio[i], want)
+				}
+			}
+			best := make(map[dag.NodeID]int64)
+			for i, v := range s.partQ.task {
+				if !ref.isPartialFree(v) {
+					continue // stale: the task is free or placed by now
+				}
+				if p, ok := best[v]; !ok || s.partQ.prio[i] > p {
+					best[v] = s.partQ.prio[i]
+				}
+			}
+			for i := 0; i < n; i++ {
+				v := dag.NodeID(i)
+				if s.cluster[v] != -1 {
+					continue
+				}
+				succs, _ := s.csr.Succs(v)
+				for _, to := range succs {
+					if s.cluster[to] != -1 {
+						t.Fatalf("trial %d step %d: successor %d of unplaced %d is placed", trial, step, to, v)
+					}
+				}
+				if ref.level[v] != s.level[v] {
+					t.Fatalf("trial %d step %d: unplaced %d has level %d, b-level %d", trial, step, v, ref.level[v], s.level[v])
+				}
+				want := ref.startBound(v) + s.level[v]
+				switch {
+				case ref.isFree(v) && freeSeen[v] != 1:
+					t.Fatalf("trial %d step %d: free task %d queued %d times", trial, step, v, freeSeen[v])
+				case ref.isPartialFree(v) && best[v] != want:
+					t.Fatalf("trial %d step %d: partially free %d best entry %d, want %d", trial, step, v, best[v], want)
 				}
 			}
 		}
+		scratch.Release()
 	}
 }

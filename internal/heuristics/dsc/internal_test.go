@@ -3,36 +3,26 @@ package dsc
 import (
 	"testing"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/paperex"
 )
 
-func newState(t *testing.T, g *dag.Graph) (*state, []dag.NodeID) {
+// testState returns g's state before the first step; its scratch is
+// released when the test ends.
+func testState(t *testing.T, g *dag.Graph) *state {
 	t.Helper()
-	order, err := g.TopoOrder()
+	scratch := arena.Get()
+	t.Cleanup(scratch.Release)
+	s, err := newState(g, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumNodes()
-	s := &state{
-		g:       g,
-		csr:     g.CSR(),
-		cluster: make([]int, n),
-		st:      make([]int64, n),
-		nsched:  make([]int, n),
-		level:   make([]int64, n),
-		mark:    make([]int32, n),
-	}
-	for i := range s.cluster {
-		s.cluster[i] = -1
-	}
-	s.recomputeLevels(order)
-	return s, order
+	return s
 }
 
 func TestInitialLevelsMatchBLevels(t *testing.T) {
-	g := paperex.Graph()
-	s, _ := newState(t, g)
+	s := testState(t, paperex.Graph())
 	want := []int64{150, 74, 135, 95, 50} // paper Figure 14
 	for i, w := range want {
 		if s.level[i] != w {
@@ -41,42 +31,29 @@ func TestInitialLevelsMatchBLevels(t *testing.T) {
 	}
 }
 
-func TestLevelsDropAfterZeroing(t *testing.T) {
-	g := paperex.Graph()
-	s, order := newState(t, g)
-	// Put nodes 3 and 4 (IDs 2,3) in the same cluster: the 10-weight
-	// edge between them is zeroed, so level(3) falls from 135 to 125
-	// and level(1) from 150 to 140.
-	s.cluster[2] = 0
-	s.cluster[3] = 0
-	s.recomputeLevels(order)
-	if s.level[2] != 125 {
-		t.Errorf("level(3) after zeroing = %d, want 125", s.level[2])
-	}
-	if s.level[0] != 140 {
-		t.Errorf("level(1) after zeroing = %d, want 140", s.level[0])
-	}
-}
-
 func TestStartBoundAndPriority(t *testing.T) {
-	g := paperex.Graph()
-	s, _ := newState(t, g)
+	s := testState(t, paperex.Graph())
 	// Before anything is scheduled, every node's startbound is 0 and
 	// priority equals its level; node 1 (ID 0) tops the free list.
-	if got := s.startBound(0); got != 0 {
-		t.Errorf("startBound = %d, want 0", got)
+	if got := s.sb[0]; got != 0 {
+		t.Errorf("startbound = %d, want 0", got)
 	}
-	if top := s.topFree(); top != 0 {
-		t.Errorf("topFree = %d, want 0", top)
+	top := s.freeQ.pop()
+	if top != 0 {
+		t.Errorf("top free = %d, want 0", top)
 	}
 	// Schedule node 1 on a fresh cluster at time 0.
-	s.place(0, -1)
+	s.place(top, -1)
 	if s.st[0] != 0 || s.free[0] != 10 {
 		t.Fatalf("place: st=%d free=%v", s.st[0], s.free)
 	}
-	// Node 2 (ID 1): startbound = finish(1) + edge = 10 + 5 = 15.
-	if got := s.startBound(1); got != 15 {
-		t.Errorf("startBound(2) = %d, want 15", got)
+	// Node 2 (ID 1): startbound = finish(1) + edge = 10 + 5 = 15, and
+	// its priority adds its level of 74.
+	if got := s.sb[1]; got != 15 {
+		t.Errorf("startbound(2) = %d, want 15", got)
+	}
+	if got := s.priority(1); got != 15+74 {
+		t.Errorf("priority(2) = %d, want %d", got, 15+74)
 	}
 	// startOn cluster 0 zeroes the edge: max(free=10, 10+0) = 10.
 	if got := s.startOn(0, 1); got != 10 {
@@ -91,23 +68,30 @@ func TestFreeAndPartialFreeClassification(t *testing.T) {
 	j := g.AddNode(10)
 	g.MustAddEdge(a, j, 5)
 	g.MustAddEdge(b, j, 5)
-	s, _ := newState(t, g)
-	if !s.isFree(a) || !s.isFree(b) {
-		t.Error("sources should be free")
+	s := testState(t, g)
+	if len(s.freeQ.task) != 2 {
+		t.Fatalf("free heap holds %v, want the two sources", s.freeQ.task)
 	}
-	if s.isFree(j) || s.isPartialFree(j) {
-		t.Error("join with no scheduled preds is neither free nor partially free")
+	if ny := s.topPartialFree(); ny != -1 {
+		t.Errorf("join with no scheduled preds is partially free: top = %d", ny)
+	}
+	// The sources tie on priority; the lower ID comes first.
+	if v := s.freeQ.pop(); v != a {
+		t.Fatalf("top free = %d, want %d", v, a)
 	}
 	s.place(a, -1)
-	if !s.isPartialFree(j) {
-		t.Error("join should be partially free after one pred scheduled")
+	if ny := s.topPartialFree(); ny != j {
+		t.Errorf("top partially free = %d, want the join %d", ny, j)
+	}
+	if v := s.freeQ.pop(); v != b {
+		t.Fatalf("top free = %d, want %d", v, b)
 	}
 	s.place(b, -1)
-	if !s.isFree(j) {
-		t.Error("join should be free after all preds scheduled")
+	if len(s.freeQ.task) != 1 || s.freeQ.task[0] != j {
+		t.Errorf("free heap holds %v, want only the join", s.freeQ.task)
 	}
-	if s.isPartialFree(j) {
-		t.Error("free node must not also be partially free")
+	if ny := s.topPartialFree(); ny != -1 {
+		t.Errorf("free node must not also be partially free: top = %d", ny)
 	}
 }
 
@@ -118,7 +102,7 @@ func TestBestParentClusterPicksMinStart(t *testing.T) {
 	j := g.AddNode(10)
 	g.MustAddEdge(a, j, 100) // via a: on a's cluster start max(50, 10+100)=...
 	g.MustAddEdge(b, j, 1)
-	s, _ := newState(t, g)
+	s := testState(t, g)
 	s.place(a, -1) // cluster 0, finish 50
 	s.place(b, -1) // cluster 1, finish 10
 	// startOn(c0, j) = max(50, arrive from b = 10+1 = 11) = 50.

@@ -5,7 +5,6 @@
 package schedtest
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -174,13 +173,6 @@ func DeterminismCorpus(t *testing.T, seed int64) []*dag.Graph {
 	return graphs
 }
 
-// placementBytes serializes a placement into a canonical byte string:
-// the per-node processor assignment followed by every processor's
-// execution order. Two placements are identical iff their bytes match.
-func placementBytes(pl *sched.Placement) string {
-	return fmt.Sprintf("proc=%v order=%v", pl.Proc, pl.Order)
-}
-
 // RequireDeterministic is the dynamic twin of the schedlint static
 // suite: it instantiates every registered heuristic twice per corpus
 // graph (fresh instances, so no state can leak between runs) and
@@ -204,7 +196,7 @@ func RequireDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("graph %d (%s) second run: %v", gi, g.Name(), err)
 				}
-				a, b := placementBytes(first), placementBytes(second)
+				a, b := PlacementString(first), PlacementString(second)
 				if a != b {
 					t.Fatalf("graph %d (%s): placements differ between runs\n run 1: %s\n run 2: %s",
 						gi, g.Name(), a, b)
@@ -213,7 +205,7 @@ func RequireDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("graph %d (%s) GOMAXPROCS=1 run: %v", gi, g.Name(), err)
 				}
-				if c := placementBytes(single); c != a {
+				if c := PlacementString(single); c != a {
 					t.Fatalf("graph %d (%s): placement depends on GOMAXPROCS\n default: %s\n procs=1: %s",
 						gi, g.Name(), a, c)
 				}

@@ -10,12 +10,13 @@ import (
 // edge weight when crossing processors) and (b) its processor has
 // finished every task that precedes it in the placement order.
 //
-// Build commits tasks one at a time, always the ready queue head with
-// the smallest feasible start time (ties to the lower processor), so
-// the result is deterministic. It returns an error if the placement
-// does not cover the graph or if the per-processor orders deadlock
-// against the precedence constraints (which cannot happen for orders
-// produced by a priority-driven heuristic, but is checked anyway).
+// Build commits ready queue heads one at a time. Each start is the
+// maximum of the processor's previous finish and the data arrivals, so
+// no start time depends on the order of the commits and the result is
+// deterministic. It returns an error if the placement does not cover
+// the graph or if the per-processor orders deadlock against the
+// precedence constraints (which cannot happen for orders produced by a
+// priority-driven heuristic, but is checked anyway).
 func Build(g *dag.Graph, pl *Placement) (*Schedule, error) {
 	if err := pl.Check(g); err != nil {
 		return nil, err
@@ -25,7 +26,7 @@ func Build(g *dag.Graph, pl *Placement) (*Schedule, error) {
 	pl.Compact()
 	// The placement was checked above and Compact preserves validity,
 	// so skip BuildWith's re-check.
-	return buildWith(g, pl, UniformDelay, nil)
+	return buildWith(g, pl, UniformDelay)
 }
 
 // MustBuild is Build for placements known to be valid by construction;

@@ -13,7 +13,7 @@ import (
 // nothing and a disabled registry costs three atomic loads per call.
 var (
 	buildCandHits = obs.Default().Counter("sched_build_cand_cache_hits_total",
-		"Ready candidates that stayed in the heap across a commit without recomputation.")
+		"Ready candidates that stayed on the ready stack across a commit without recomputation.")
 	buildCandMisses = obs.Default().Counter("sched_build_cand_cache_misses_total",
 		"Candidate start times computed: each processor once, then the committing processor and every woken waiter.")
 	buildWakeups = obs.Default().Counter("sched_build_waiter_wakeups_total",
@@ -46,29 +46,25 @@ func BuildWith(g *dag.Graph, pl *Placement, delay DelayFunc) (*Schedule, error) 
 	if err := pl.Check(g); err != nil {
 		return nil, err
 	}
-	return buildWith(g, pl, delay, nil)
+	return buildWith(g, pl, delay)
 }
 
 // buildWith is BuildWith for placements already known to pass Check.
 //
 // Each processor's candidate is the start time of its queue head. A
 // ready head's start depends only on its (already finished)
-// predecessors and its processor's free time, so a commit can change
-// only two kinds of candidate: the committing processor's (its queue
-// advanced and its free time moved) and those of the processors whose
-// head waited on the committed node, which the waiter lists find.
-// Processors with a ready head sit in a min-heap ordered by (candidate
-// start, processor index); its top is the commit, so "smallest
-// candidate, ties to the lower processor" holds exactly, and a commit
-// costs O((1 + wakeups) log P) plus the predecessor scans. A blocked or
-// exhausted processor is not in the heap; an empty heap with tasks left
-// is a deadlock.
-//
-// The start times themselves do not depend on the commit order: each
-// is the maximum of its queue predecessor's finish and its data
-// arrivals. commits, when non-nil, receives the nodes in commit order,
-// so that tests can hold the heap to the tie rule.
-func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc, commits *[]dag.NodeID) (*Schedule, error) {
+// predecessors and its processor's free time: it is the maximum of its
+// queue predecessor's finish and its data arrivals. So the order in
+// which ready heads are committed changes no start time, and which
+// tasks are left when no head is ready is the same in every order. A
+// commit can change only two kinds of candidate: the committing
+// processor's (its queue advanced and its free time moved) and those
+// of the processors whose head waited on the committed node, which the
+// waiter lists find. Processors with a ready head sit on a stack with
+// their candidate, and each commit takes the top, at O(1 + wakeups)
+// plus the predecessor scans. A blocked or exhausted processor is not
+// on the stack; an empty stack with tasks left is a deadlock.
+func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc) (*Schedule, error) {
 	if delay == nil {
 		delay = UniformDelay
 	}
@@ -95,39 +91,38 @@ func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc, commits *[]dag.Node
 		waiterHead: waiterHead,
 		waiterNext: scratch.Int32s(numProcs),
 	}
-	ready := readyHeap{start: scratch.Int64s(numProcs)[:0], proc: scratch.Int32s(numProcs)[:0]}
+	// The ready stack, as parallel arrays of processor and candidate
+	// start. A processor is on it at most once, so the processor count
+	// bounds it.
+	readyProc, readyStart := scratch.Int32s(numProcs)[:0], scratch.Int64s(numProcs)[:0]
 	for p := 0; p < numProcs; p++ {
 		if c, ok := b.candidate(p); ok {
-			ready.push(c, int32(p))
+			readyProc, readyStart = append(readyProc, int32(p)), append(readyStart, c)
 		}
 	}
 	candMisses := uint64(numProcs)
 	var candHits, wakeups uint64
 	for remaining := n; remaining > 0; remaining-- {
-		if len(ready.proc) == 0 {
+		top := len(readyProc) - 1
+		if top < 0 {
 			buildCandHits.Add(candHits)
 			buildCandMisses.Add(candMisses)
 			buildWakeups.Add(wakeups)
 			return nil, fmt.Errorf("sched: placement order deadlocks against precedence (%d tasks left)", remaining)
 		}
-		candHits += uint64(len(ready.proc) - 1)
-		p := int(ready.proc[0])
+		candHits += uint64(top)
+		p, start := int(readyProc[top]), readyStart[top]
+		readyProc, readyStart = readyProc[:top], readyStart[:top]
 		v := pl.Order[p][b.head[p]]
 		b.head[p]++
-		start := ready.start[0]
 		f := start + g.Weight(v)
 		s.ByNode[v] = Assignment{Node: v, Proc: p, Start: start, Finish: f}
 		s.Makespan = max(s.Makespan, f)
-		if commits != nil {
-			*commits = append(*commits, v)
-		}
-		// The heap top is p itself: re-key it or drop it, then add the
-		// processors that were waiting on v and are now ready.
+		// Put p back if its next head is ready, then the processors
+		// that were waiting on v and are now ready.
 		candMisses++
 		if c, ok := b.candidate(p); ok {
-			ready.replaceTop(c)
-		} else {
-			ready.pop()
+			readyProc, readyStart = append(readyProc, int32(p)), append(readyStart, c)
 		}
 		w := waiterHead[v]
 		waiterHead[v] = -1
@@ -136,7 +131,7 @@ func buildWith(g *dag.Graph, pl *Placement, delay DelayFunc, commits *[]dag.Node
 			wakeups++
 			candMisses++
 			if c, ok := b.candidate(int(w)); ok {
-				ready.push(c, w)
+				readyProc, readyStart = append(readyProc, w), append(readyStart, c)
 			}
 			w = next
 		}
@@ -188,72 +183,6 @@ func (b *builder) candidate(p int) (start int64, ok bool) {
 		start = max(start, a.Finish+b.delay(a.Proc, p, ws[j]))
 	}
 	return start, true
-}
-
-// readyHeap is a binary min-heap of the processors whose queue head is
-// ready, as parallel arrays of candidate start and processor index,
-// ordered by (start, processor). Both arrays are carved at the
-// processor count, which bounds the heap: a processor is in it at most
-// once. Only the top ever changes key or leaves, because the top is the
-// committing processor, so no position index is kept.
-type readyHeap struct {
-	start []int64
-	proc  []int32
-}
-
-func (h *readyHeap) push(start int64, p int32) {
-	h.start = append(h.start, start)
-	h.proc = append(h.proc, p)
-	h.sift(len(h.proc) - 1)
-}
-
-// replaceTop gives the top processor a new, never smaller, candidate.
-func (h *readyHeap) replaceTop(start int64) {
-	h.start[0] = start
-	h.sift(0)
-}
-
-// pop removes the top processor.
-func (h *readyHeap) pop() {
-	last := len(h.proc) - 1
-	h.start[0], h.proc[0] = h.start[last], h.proc[last]
-	h.start, h.proc = h.start[:last], h.proc[:last]
-	h.sift(0)
-}
-
-// sift moves entry i up or down to its place.
-//
-//lint:boundedidx i and its parent and children are checked against len(h.proc), and start has proc's length
-func (h *readyHeap) sift(i int) {
-	less := func(i, j int) bool {
-		return h.start[i] < h.start[j] || (h.start[i] == h.start[j] && h.proc[i] < h.proc[j])
-	}
-	swap := func(i, j int) {
-		h.start[i], h.start[j] = h.start[j], h.start[i]
-		h.proc[i], h.proc[j] = h.proc[j], h.proc[i]
-	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(i, parent) {
-			break
-		}
-		swap(i, parent)
-		i = parent
-	}
-	for {
-		c := 2*i + 1
-		if c >= len(h.proc) {
-			return
-		}
-		if r := c + 1; r < len(h.proc) && less(r, c) {
-			c = r
-		}
-		if !less(c, i) {
-			return
-		}
-		swap(i, c)
-		i = c
-	}
 }
 
 // ValidateWith checks the schedule under an arbitrary delay model.
