@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"schedcomp/internal/corpus"
@@ -178,18 +179,7 @@ func compareGolden(res, golden *BenchResult) error {
 		bad = append(bad, fmt.Sprintf("%d heuristics benched, golden has %d", len(res.Heuristics), len(golden.Heuristics)))
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("schedule hashes diverged from golden:\n  %s", joinLines(bad))
+		return fmt.Errorf("schedule hashes diverged from golden:\n  %s", strings.Join(bad, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(s []string) string {
-	out := ""
-	for i, l := range s {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

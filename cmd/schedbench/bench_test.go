@@ -69,3 +69,30 @@ func TestBenchGoldenRoundTrip(t *testing.T) {
 		t.Fatal("spec mismatch not detected")
 	}
 }
+
+// TestGoldenScheduleHashes runs every registered heuristic over the
+// corpus the committed golden file was measured on and requires every
+// schedule hash to match, so that `go test` catches a changed schedule
+// the same way `schedbench -compare` against the golden does.
+func TestGoldenScheduleHashes(t *testing.T) {
+	golden, err := loadBench(filepath.Join("testdata", "golden_graphs5.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := corpus.Generate(corpus.Spec{
+		Seed:         golden.Spec.Seed,
+		GraphsPerSet: golden.Spec.GraphsPerSet,
+		MinNodes:     golden.Spec.MinNodes,
+		MaxNodes:     golden.Spec.MaxNodes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runBench(c, 0, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compareGolden(res, golden); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -51,7 +51,7 @@ func compareBench(oldRes, newRes *BenchResult) (string, error) {
 	fmt.Fprintf(&b, "end-to-end: %.1f -> %.1f graphs/sec %s\n",
 		oldRes.GraphsPerSec, newRes.GraphsPerSec, ratio(newRes.GraphsPerSec, oldRes.GraphsPerSec))
 	if len(mismatched) > 0 {
-		return b.String(), fmt.Errorf("schedule hashes diverged:\n  %s", joinLines(mismatched))
+		return b.String(), fmt.Errorf("schedule hashes diverged:\n  %s", strings.Join(mismatched, "\n  "))
 	}
 	return b.String(), nil
 }

@@ -2,10 +2,9 @@
 // Kwok & Ahmad's Dynamic Critical Path algorithm. Among the ready tasks
 // it picks the one with the smallest mobility (ALST − AEST over the
 // partial schedule — zero mobility means the task sits on the current
-// dynamic critical path), places it with gap insertion on the processor
-// that minimizes its start, and breaks processor ties with a one-step
-// lookahead toward the task's critical child (preferring the processor
-// from which that child could start earliest).
+// dynamic critical path) and places it with gap insertion on the
+// processor that minimizes its start, ties to the lower index, opening
+// a new processor only when that is strictly earlier.
 //
 // Only ready tasks are placed, so every successor of an unplaced task
 // is unplaced, and an unplaced task's ALST is the schedule-length bound
@@ -20,8 +19,10 @@
 // tasks whose parents are not yet scheduled; the common placement
 // model used by this testbed (per-processor orders replayed by one
 // greedy builder, §2 of the paper) cannot express such reservations,
-// so selection is restricted to ready tasks. The registry name "DCP"
-// refers to this variant throughout.
+// so selection is restricted to ready tasks. The original also breaks
+// processor ties with a lookahead that adds the critical child's start
+// on each processor; this variant has no lookahead (see DESIGN.md).
+// The registry name "DCP" refers to this variant throughout.
 package dcp
 
 import (
@@ -144,46 +145,25 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		}
 		ready = ready[:last]
 
-		// The critical child is the successor with the least mobility
-		// (the one the dynamic critical path runs through), ties to the
-		// lower ID; every successor of the unplaced pick is unplaced.
-		// The same pass counts pick as placed for its successors.
-		cc, hasCC := dag.NodeID(-1), false
-		var ccRank int64
+		// Count pick as placed for its successors.
 		for _, a := range pt.succs {
 			t := &ts[a.To]
-			if r := t.bl + t.aest; !hasCC || r > ccRank || (r == ccRank && a.To < cc) {
-				cc, ccRank, hasCC = a.To, r, true
-			}
 			if t.missing--; t.missing == 0 {
 				ready = append(ready, a.To)
 			}
 		}
 
-		// Processor choice: minimize start; among equal starts, prefer
-		// the processor minimizing the critical child's estimated
-		// local start.
+		// Processor choice: minimize start, ties to the lower index; a
+		// new processor opens only when strictly earlier.
 		bestP, bestStart := -1, int64(0)
-		var bestLook int64
 		for p := 0; p <= len(timelines); p++ {
 			var tl []slot
 			if p < len(timelines) {
 				tl = timelines[p]
 			}
 			st := earliestOn(pt, p, tl)
-			look := st + pt.w
-			if hasCC {
-				// If the child follows on this processor the edge is
-				// free; its other parents are approximated by AEST.
-				look = max(look, ts[cc].aest)
-			}
-			better := bestP == -1 || st < bestStart ||
-				(st == bestStart && look < bestLook)
-			if p == len(timelines) && bestP != -1 && st >= bestStart {
-				better = false // open a new processor only when strictly earlier
-			}
-			if better {
-				bestP, bestStart, bestLook = p, st, look
+			if bestP == -1 || st < bestStart {
+				bestP, bestStart = p, st
 			}
 		}
 		if bestP == len(timelines) {

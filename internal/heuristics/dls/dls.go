@@ -7,9 +7,14 @@
 //
 // where SL is the static level (communication-weighted longest path to
 // an exit) and start(n, p) the earliest start of n on p given current
-// commitments. Maximizing DL balances "urgent task" against "early
-// slot": a high-level task may wait for a good processor while a
-// low-level one takes an immediate slot elsewhere.
+// commitments; ties go to the lower ID, then the lower processor.
+// Maximizing DL balances "urgent task" against "early slot": a
+// high-level task may wait for a good processor while a low-level one
+// takes an immediate slot elsewhere.
+//
+// The machine is unbounded. A task's greatest DL is at its earliest
+// start, which comes cached from the listsched kernel, so DLS is its
+// selection key over the kernel's Select.
 package dls
 
 import (
@@ -17,6 +22,7 @@ import (
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/sched"
 )
 
@@ -24,12 +30,10 @@ func init() {
 	heuristics.Register("DLS", func() heuristics.Scheduler { return New() })
 }
 
-// DLS is the scheduler. MaxProcs bounds the machine (0 = unbounded).
-type DLS struct {
-	MaxProcs int
-}
+// DLS is the scheduler. The zero value is ready to use.
+type DLS struct{}
 
-// New returns a DLS scheduler on an unbounded machine.
+// New returns a DLS scheduler.
 func New() *DLS { return &DLS{} }
 
 // Name implements heuristics.Scheduler.
@@ -43,80 +47,15 @@ func (d *DLS) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per committed task.
 func (d *DLS) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-	missing := make([]int, n)
-	ready := make([]dag.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		missing[v] = g.InDegree(dag.NodeID(v))
-		if missing[v] == 0 {
-			ready = append(ready, dag.NodeID(v))
+	// Greatest dynamic level, then lower ID.
+	return listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
+		if da, db := level[a.Node]-a.Start, level[b.Node]-b.Start; da != db {
+			return da > db
 		}
-	}
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	var procFree []int64
-
-	for len(ready) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestI, bestP := -1, -1
-		var bestDL, bestStart int64
-		cand := len(procFree)
-		if d.MaxProcs == 0 || cand < d.MaxProcs {
-			cand++
-		}
-		for ri, v := range ready {
-			for p := 0; p < cand; p++ {
-				var start int64
-				if p < len(procFree) {
-					start = procFree[p]
-				}
-				for _, a := range g.Preds(v) {
-					t := finish[a.To]
-					if proc[a.To] != p {
-						t += a.Weight
-					}
-					if t > start {
-						start = t
-					}
-				}
-				dl := level[v] - start
-				better := bestI == -1 || dl > bestDL
-				if !better && dl == bestDL && ri != bestI {
-					prev := ready[bestI]
-					if v != prev {
-						better = v < prev
-					}
-				}
-				if better {
-					bestI, bestP, bestDL, bestStart = ri, p, dl, start
-				}
-			}
-		}
-		v := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		if bestP == len(procFree) {
-			procFree = append(procFree, 0)
-		}
-		proc[v] = bestP
-		finish[v] = bestStart + g.Weight(v)
-		procFree[bestP] = finish[v]
-		pl.Assign(v, bestP)
-		for _, a := range g.Succs(v) {
-			missing[a.To]--
-			if missing[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return pl, nil
+		return a.Node < b.Node
+	})
 }

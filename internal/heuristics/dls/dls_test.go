@@ -1,7 +1,6 @@
 package dls
 
 import (
-	"math/rand"
 	"testing"
 
 	"schedcomp/internal/dag"
@@ -18,15 +17,6 @@ func TestPaperExample(t *testing.T) {
 	sc := schedtest.BuildAndValidate(t, New(), paperex.Graph())
 	if sc.Makespan != 130 {
 		t.Errorf("makespan = %d, want 130 (golden; equals the optimum)", sc.Makespan)
-	}
-}
-
-func TestMaxProcsBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := schedtest.RandomDAG(rng, 40, 0.1)
-	sc := schedtest.BuildAndValidate(t, &DLS{MaxProcs: 2}, g)
-	if sc.NumProcs > 2 {
-		t.Errorf("procs = %d, bound 2", sc.NumProcs)
 	}
 }
 

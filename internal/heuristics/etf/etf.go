@@ -2,10 +2,16 @@
 // (Hwang, Chow, Anger & Lee). Where MH allocates the highest-level
 // ready task first and then picks its best processor, ETF examines
 // every (ready task, processor) pair and commits the globally earliest
-// start, breaking ties toward the higher level. The paper invites
-// "heuristics developed by all other research teams that use execution
-// and architectural models similar to [those] described here" into the
-// testbed; ETF is the most cited such candidate.
+// start, breaking ties toward the higher level, then the lower ID, then
+// the lower processor. The paper invites "heuristics developed by all
+// other research teams that use execution and architectural models
+// similar to [those] described here" into the testbed; ETF is the most
+// cited such candidate.
+//
+// The machine is unbounded. Each ready task's earliest (start,
+// processor) comes cached from the listsched kernel, which re-costs
+// only the tasks whose cached processor a commit lands on, so ETF is
+// its selection key over the kernel's Select.
 package etf
 
 import (
@@ -13,6 +19,7 @@ import (
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/sched"
 )
 
@@ -20,12 +27,10 @@ func init() {
 	heuristics.Register("ETF", func() heuristics.Scheduler { return New() })
 }
 
-// ETF is the scheduler. MaxProcs bounds the machine (0 = unbounded).
-type ETF struct {
-	MaxProcs int
-}
+// ETF is the scheduler. The zero value is ready to use.
+type ETF struct{}
 
-// New returns an ETF scheduler on an unbounded machine.
+// New returns an ETF scheduler.
 func New() *ETF { return &ETF{} }
 
 // Name implements heuristics.Scheduler.
@@ -39,81 +44,18 @@ func (e *ETF) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per committed task.
 func (e *ETF) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-	missing := make([]int, n)
-	ready := make([]dag.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		missing[v] = g.InDegree(dag.NodeID(v))
-		if missing[v] == 0 {
-			ready = append(ready, dag.NodeID(v))
+	// Earliest start, then higher level, then lower ID.
+	return listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
+		if a.Start != b.Start {
+			return a.Start < b.Start
 		}
-	}
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	var procFree []int64
-
-	for len(ready) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if level[a.Node] != level[b.Node] {
+			return level[a.Node] > level[b.Node]
 		}
-		bestI, bestP := -1, -1
-		var bestStart int64
-		cand := len(procFree)
-		if e.MaxProcs == 0 || cand < e.MaxProcs {
-			cand++
-		}
-		for ri, v := range ready {
-			for p := 0; p < cand; p++ {
-				var start int64
-				if p < len(procFree) {
-					start = procFree[p]
-				}
-				for _, a := range g.Preds(v) {
-					t := finish[a.To]
-					if proc[a.To] != p {
-						t += a.Weight
-					}
-					if t > start {
-						start = t
-					}
-				}
-				better := bestI == -1 || start < bestStart
-				if !better && start == bestStart && ri != bestI {
-					prev := ready[bestI]
-					if level[v] != level[prev] {
-						better = level[v] > level[prev]
-					} else {
-						better = v < prev
-					}
-				}
-				if better {
-					bestI, bestP, bestStart = ri, p, start
-				}
-			}
-		}
-		v := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		if bestP == len(procFree) {
-			procFree = append(procFree, 0)
-		}
-		proc[v] = bestP
-		finish[v] = bestStart + g.Weight(v)
-		procFree[bestP] = finish[v]
-		pl.Assign(v, bestP)
-		for _, a := range g.Succs(v) {
-			missing[a.To]--
-			if missing[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return pl, nil
+		return a.Node < b.Node
+	})
 }

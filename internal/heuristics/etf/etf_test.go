@@ -1,7 +1,6 @@
 package etf
 
 import (
-	"math/rand"
 	"testing"
 
 	"schedcomp/internal/heuristics"
@@ -20,15 +19,6 @@ func TestPaperExample(t *testing.T) {
 	sc := schedtest.BuildAndValidate(t, New(), paperex.Graph())
 	if sc.Makespan != 130 {
 		t.Errorf("makespan = %d, want 130", sc.Makespan)
-	}
-}
-
-func TestMaxProcsBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := schedtest.RandomDAG(rng, 40, 0.1)
-	sc := schedtest.BuildAndValidate(t, &ETF{MaxProcs: 3}, g)
-	if sc.NumProcs > 3 {
-		t.Errorf("procs = %d, bound 3", sc.NumProcs)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package heuristics defines the Scheduler interface implemented by the
-// five heuristics under comparison (CLANS, DSC, MCP, MH, HU) and a
-// name-based registry used by the harness and the CLIs.
+// eleven registered heuristics (the paper's CLANS, DSC, MCP, MH and HU,
+// plus DCP, DLS, ETF, EZ, LC and RAND) and a name-based registry.
 package heuristics
 
 import (

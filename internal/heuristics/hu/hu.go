@@ -8,23 +8,22 @@
 // priority; the first task goes to the first processor, and every
 // subsequent task goes to the processor that is *available* earliest.
 //
-// Interpretation note (see DESIGN.md): the paper's Figure 13 is
-// superficially close to MH, yet HU is by far the worst performer in
-// every table of the paper — exactly the behaviour of the classical,
-// communication-oblivious Hu placement rule, which ignores where the
-// predecessors live when picking a processor. We therefore implement
-// the placement choice as "earliest available processor" (on an
-// unbounded machine this spreads tasks maximally), while the final
-// timing — like every other heuristic — pays full communication costs.
-// The comm-aware alternative and a bounded machine are available as
-// knobs for the ablation benches.
+// Interpretation note (see DESIGN.md): HU is by far the worst performer
+// in every table of the paper — the behaviour of the classical,
+// communication-oblivious Hu rule, which ignores where the predecessors
+// live. So the placement choice is "earliest available processor",
+// while the final timing pays full communication costs. On the paper's
+// unbounded machine that is always a fresh processor. The comm-aware
+// EarliestStart policy is a knob for the ablation benches.
 package hu
 
 import (
 	"context"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/pq"
 	"schedcomp/internal/sched"
 )
@@ -51,8 +50,6 @@ const (
 // on an unbounded machine, matching the paper's results.
 type HU struct {
 	Policy Policy
-	// MaxProcs bounds the machine size; 0 means unbounded.
-	MaxProcs int
 }
 
 // New returns an HU scheduler in the paper's configuration.
@@ -69,104 +66,41 @@ func (h *HU) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per committed task.
 func (h *HU) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-
-	higher := func(a, b dag.NodeID) bool {
+	free := pq.New(func(a, b dag.NodeID) bool {
 		if level[a] != level[b] {
 			return level[a] > level[b]
 		}
 		return a < b
-	}
-	free := pq.New(higher)
-	for _, v := range g.Sources() {
+	})
+	scratch := arena.Get()
+	defer scratch.Release()
+	k := listsched.New(g, scratch)
+	for _, v := range k.Sources() {
 		free.Push(v)
 	}
-
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	scheduledPreds := make([]int, n)
-	var procFree []int64
-
-	arrive := func(v dag.NodeID, p int) int64 {
-		var t int64
-		for _, a := range g.Preds(v) {
-			at := finish[a.To]
-			if proc[a.To] != p {
-				at += a.Weight
-			}
-			if at > t {
-				t = at
-			}
-		}
-		return t
-	}
-
-	place := func(v dag.NodeID, p int) {
-		if p == len(procFree) {
-			procFree = append(procFree, 0)
-		}
-		start := arrive(v, p)
-		if procFree[p] > start {
-			start = procFree[p]
-		}
-		proc[v] = p
-		finish[v] = start + g.Weight(v)
-		procFree[p] = finish[v]
-		pl.Assign(v, p)
-		for _, a := range g.Succs(v) {
-			scheduledPreds[a.To]++
-			if scheduledPreds[a.To] == g.InDegree(a.To) {
-				free.Push(a.To)
-			}
-		}
-	}
-
-	pick := func(v dag.NodeID) int {
-		candidates := len(procFree)
-		if h.MaxProcs == 0 || candidates < h.MaxProcs {
-			candidates++ // one fresh processor
-		}
-		bestP := -1
-		var bestKey int64
-		for p := 0; p < candidates; p++ {
-			var key int64
-			var idle int64
-			if p < len(procFree) {
-				idle = procFree[p]
-			}
-			switch h.Policy {
-			case EarliestAvailable:
-				key = idle
-			case EarliestStart:
-				key = arrive(v, p)
-				if idle > key {
-					key = idle
-				}
-			}
-			if bestP == -1 || key < bestKey {
-				bestP, bestKey = p, key
-			}
-		}
-		return bestP
-	}
-
-	// The first task goes to the first processor.
-	first := free.Pop()
-	place(first, 0)
 	for !free.Empty() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		v := free.Pop()
-		place(v, pick(v))
+		var start int64
+		var p int
+		if h.Policy == EarliestStart {
+			start, p = k.Best(v)
+		} else {
+			// Every opened processor runs a task of positive weight,
+			// so it is busy past time 0, when the fresh one is idle.
+			p = k.Open()
+			start = k.Start(v, p)
+		}
+		k.Commit(v, p, start)
+		for _, s := range k.Release(v) {
+			free.Push(s)
+		}
 	}
-	return pl, nil
+	return k.Placement(), nil
 }

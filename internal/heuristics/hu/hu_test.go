@@ -1,7 +1,6 @@
 package hu
 
 import (
-	"math/rand"
 	"testing"
 
 	"schedcomp/internal/dag"
@@ -36,16 +35,6 @@ func TestFirstTaskOnFirstProcessor(t *testing.T) {
 	if sc.ByNode[0].Proc != 0 || sc.ByNode[0].Start != 0 {
 		t.Errorf("first task at proc %d start %d, want proc 0 start 0",
 			sc.ByNode[0].Proc, sc.ByNode[0].Start)
-	}
-}
-
-func TestMaxProcsBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := schedtest.RandomDAG(rng, 50, 0.1)
-	h := &HU{MaxProcs: 4}
-	sc := schedtest.BuildAndValidate(t, h, g)
-	if sc.NumProcs > 4 {
-		t.Errorf("used %d procs, bound was 4", sc.NumProcs)
 	}
 }
 

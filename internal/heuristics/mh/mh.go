@@ -4,21 +4,26 @@
 // Every task gets priority level(n) — the communication-weighted
 // longest path to an exit node. All currently free tasks are allocated
 // in priority order, each to the processor on which it could start (and
-// so finish) the earliest; completions are then replayed from an event
-// list, releasing successor tasks into the free list.
+// so finish) the earliest, ties to the lower processor; completions are
+// then replayed from an event list, releasing successor tasks into the
+// free list.
 //
 // MH was designed to account for processor interconnection topology and
-// link contention. The paper's experiments use a fully connected
-// network, where both features are inert; they are implemented here
-// (via internal/topology) and exercised by the topology example and the
-// ablation benches.
+// link contention. The paper's experiments use an unbounded fully
+// connected network, where both are inert and the listsched kernel's
+// Best gives the processor. Any other network (internal/topology), or
+// contention, makes arrival depend on the processor pair, so MH scans
+// every candidate processor; the topology example and the ablation
+// benches exercise that path.
 package mh
 
 import (
 	"context"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/pq"
 	"schedcomp/internal/sched"
 	"schedcomp/internal/topology"
@@ -56,136 +61,102 @@ func (m *MH) Schedule(g *dag.Graph) (*sched.Placement, error) {
 }
 
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
-// with a cancellation poll once per allocation round.
+// with a cancellation poll once per allocation or replayed completion.
 func (m *MH) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	level, err := g.BLevels()
 	if err != nil {
 		return nil, err
 	}
-
+	// net stays nil in the paper's configuration, where Best is exact.
 	net := m.Net
-	if net == nil {
-		net = topology.FullyConnected(0)
-	}
 	var traffic *topology.Traffic
 	if m.Contention {
+		if net == nil {
+			net = topology.FullyConnected(0)
+		}
 		traffic = topology.NewTraffic(net)
 	}
 
 	// Free list: highest level first, ties to the smaller ID.
-	higher := func(a, b dag.NodeID) bool {
+	free := pq.New(func(a, b dag.NodeID) bool {
 		if level[a] != level[b] {
 			return level[a] > level[b]
 		}
 		return a < b
-	}
-	free := pq.New(higher)
-	for _, v := range g.Sources() {
-		free.Push(v)
-	}
+	})
 	events := pq.New(func(a, b event) bool {
 		if a.finish != b.finish {
 			return a.finish < b.finish
 		}
 		return a.node < b.node
 	})
-
-	proc := make([]int, n)
-	finish := make([]int64, n)
-	scheduledPreds := make([]int, n)
-	done := make([]bool, n)
-	var procFree []int64
-	usedProcs := 0
-
-	maxProcs := net.NumProcs()
-	if net.Unbounded() {
-		maxProcs = 0
+	scratch := arena.Get()
+	defer scratch.Release()
+	k := listsched.New(g, scratch)
+	for _, v := range k.Sources() {
+		free.Push(v)
 	}
+	for !k.Done() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if free.Empty() {
+			// The first unplaced task in topological order waits on a
+			// placed predecessor's completion, so events is not empty.
+			e := events.Pop()
+			for _, s := range k.Release(e.node) {
+				free.Push(s)
+			}
+			continue
+		}
+		v := free.Pop()
+		var start int64
+		var p int
+		if net == nil {
+			start, p = k.Best(v)
+		} else {
+			start, p = scan(&k, g, v, net, traffic)
+		}
+		k.Commit(v, p, start)
+		events.Push(event{finish: k.Finish(v), node: v})
+	}
+	return k.Placement(), nil
+}
 
-	arrive := func(v dag.NodeID, p int) int64 {
-		var t int64
-		for _, a := range g.Preds(v) {
-			at := finish[a.To]
-			if proc[a.To] != p {
+// scan returns v's earliest start on net over every opened processor
+// and, while net has room, one fresh one, and the lowest-index
+// processor that achieves it. With contention (traffic not nil) it
+// reserves the links the chosen processor's incoming messages cross.
+func scan(k *listsched.Kernel, g *dag.Graph, v dag.NodeID, net *topology.Network, traffic *topology.Traffic) (int64, int) {
+	candidates := k.Open()
+	if net.NumProcs() == 0 || candidates < net.NumProcs() {
+		candidates++
+	}
+	preds := g.Preds(v)
+	bestP, bestStart := -1, int64(0)
+	for p := 0; p < candidates; p++ {
+		start := k.Free(p)
+		for _, a := range preds {
+			at := k.Finish(a.To)
+			if q := k.Proc(a.To); q != p {
 				if traffic != nil {
-					at = traffic.Peek(proc[a.To], p, at, a.Weight)
+					at = traffic.Peek(q, p, at, a.Weight)
 				} else {
-					at += net.Delay(proc[a.To], p, a.Weight)
+					at += net.Delay(q, p, a.Weight)
 				}
 			}
-			if at > t {
-				t = at
-			}
+			start = max(start, at)
 		}
-		return t
+		if bestP == -1 || start < bestStart {
+			bestP, bestStart = p, start
+		}
 	}
-
-	allocate := func(v dag.NodeID) {
-		// Candidate processors: every opened processor plus, when the
-		// network allows, one fresh processor.
-		candidates := usedProcs
-		if maxProcs == 0 || candidates < maxProcs {
-			candidates++
-		}
-		bestP, bestStart := -1, int64(0)
-		for p := 0; p < candidates; p++ {
-			start := arrive(v, p)
-			if p < len(procFree) && procFree[p] > start {
-				start = procFree[p]
-			}
-			if bestP == -1 || start < bestStart {
-				bestP, bestStart = p, start
-			}
-		}
-		if bestP >= usedProcs {
-			usedProcs = bestP + 1
-			for len(procFree) < usedProcs {
-				procFree = append(procFree, 0)
-			}
-		}
-		if traffic != nil {
-			// Reserve the links actually used by the incoming messages.
-			for _, a := range g.Preds(v) {
-				if proc[a.To] != bestP {
-					traffic.Send(proc[a.To], bestP, finish[a.To], a.Weight)
-				}
-			}
-		}
-		proc[v] = bestP
-		finish[v] = bestStart + g.Weight(v)
-		procFree[bestP] = finish[v]
-		done[v] = true
-		pl.Assign(v, bestP)
-		events.Push(event{finish: finish[v], node: v})
-	}
-
-	scheduled := 0
-	for scheduled < n {
-		for !free.Empty() {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			allocate(free.Pop())
-			scheduled++
-		}
-		if scheduled == n {
-			break
-		}
-		if events.Empty() {
-			panic("mh: free and event lists empty with tasks remaining")
-		}
-		e := events.Pop()
-		for _, a := range g.Succs(e.node) {
-			scheduledPreds[a.To]++
-			if !done[a.To] && scheduledPreds[a.To] == g.InDegree(a.To) {
-				free.Push(a.To)
+	if traffic != nil {
+		for _, a := range preds {
+			if q := k.Proc(a.To); q != bestP {
+				traffic.Send(q, bestP, k.Finish(a.To), a.Weight)
 			}
 		}
 	}
-	return pl, nil
+	return bestStart, bestP
 }

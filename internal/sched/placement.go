@@ -1,5 +1,5 @@
-// Package sched defines the common schedule model shared by all five
-// heuristics: a Placement (which processor runs each task, and in what
+// Package sched defines the common schedule model shared by every
+// heuristic: a Placement (which processor runs each task, and in what
 // order), the greedy timing builder that turns a placement into start
 // and finish times under the paper's execution model, schedule
 // validation, performance metrics, and a textual Gantt chart.
