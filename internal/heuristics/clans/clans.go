@@ -14,8 +14,9 @@
 //   - following the paper's worked example, the child with the largest
 //     cost-plus-communication stays on the home processor, so its
 //     boundary communication is never paid;
-//   - a primitive clan is scheduled by an internal earliest-start list
-//     scheduler, and kept only if it beats executing the clan serially.
+//   - a primitive clan is scheduled by the earliest-start list scheduler
+//     of internal/heuristics/listsched over its induced subgraph, and
+//     kept only if it beats executing the clan serially.
 //
 // The "keep the cheaper option" rule is the paper's speedup check at
 // every linear node: it gives CLANS macro-level control and is the
@@ -28,11 +29,13 @@ package clans
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"schedcomp/internal/clan"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/sched"
 )
 
@@ -73,7 +76,12 @@ type builder struct {
 	ctx     context.Context
 	err     error // sticky cancellation error; lanes are garbage once set
 	topoPos []int
-	member  []bool // scratch: membership of the current child clan
+	// index is scratch, zero outside the member set that boundaryComm
+	// or lanes works on; for lanes it holds 1 + the member's task.
+	index []int32
+	// prim schedules a primitive clan: (*builder).primitive, or in
+	// tests the reference handler.
+	prim func(*builder, *clan.Node) fragment
 }
 
 // Schedule implements heuristics.Scheduler.
@@ -83,8 +91,13 @@ func (c *CLANS) Schedule(g *dag.Graph) (*sched.Placement, error) {
 
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll at every clan-tree node and once per task
-// committed by the primitive-clan list scheduler.
+// committed by a primitive clan's list scheduler.
 func (c *CLANS) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
+	return c.run(ctx, g, (*builder).primitive)
+}
+
+// run is ScheduleContext with primitive clans scheduled by prim.
+func (c *CLANS) run(ctx context.Context, g *dag.Graph, prim func(*builder, *clan.Node) fragment) (*sched.Placement, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return sched.NewPlacement(0), nil
@@ -97,7 +110,7 @@ func (c *CLANS) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Place
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{c: c, g: g, ctx: ctx, topoPos: pos, member: make([]bool, n)}
+	b := &builder{c: c, g: g, ctx: ctx, topoPos: pos, index: make([]int32, n), prim: prim}
 	frag := b.schedule(tree.Root)
 	if b.err != nil {
 		return nil, b.err
@@ -138,7 +151,7 @@ func (b *builder) schedule(n *clan.Node) fragment {
 	case clan.Independent:
 		return b.independent(n)
 	case clan.Primitive:
-		return b.primitive(n)
+		return b.prim(b, n)
 	}
 	panic("clans: unknown clan kind")
 }
@@ -228,28 +241,28 @@ func (b *builder) independent(n *clan.Node) fragment {
 // processor (messages multicast in parallel, so the max governs).
 func (b *builder) boundaryComm(members []dag.NodeID) (in, out int64) {
 	for _, m := range members {
-		b.member[m] = true
+		b.index[m] = 1
 	}
 	for _, m := range members {
 		for _, a := range b.g.Preds(m) {
-			if !b.member[a.To] && a.Weight > in {
+			if b.index[a.To] == 0 && a.Weight > in {
 				in = a.Weight
 			}
 		}
 		for _, a := range b.g.Succs(m) {
-			if !b.member[a.To] && a.Weight > out {
+			if b.index[a.To] == 0 && a.Weight > out {
 				out = a.Weight
 			}
 		}
 	}
 	for _, m := range members {
-		b.member[m] = false
+		b.index[m] = 0
 	}
 	return in, out
 }
 
-// primitive schedules a structureless clan with an earliest-start list
-// scheduler over the induced subgraph, falling back to serial order
+// primitive schedules a structureless clan with the earliest-start list
+// scheduler over its induced subgraph, falling back to serial order
 // when that does not win. With DeepPrimitives the quotient handler is
 // tried first.
 func (b *builder) primitive(n *clan.Node) fragment {
@@ -258,124 +271,84 @@ func (b *builder) primitive(n *clan.Node) fragment {
 			return f
 		}
 	}
-	lanes, makespan := b.etf(n.Members)
-	var serial int64
-	for _, m := range n.Members {
-		serial += b.g.Weight(m)
+	// n.Members ascends, so lanes' tie to the lower index is the tie to
+	// the lower ID.
+	weight := make([]int64, len(n.Members))
+	for i, m := range n.Members {
+		b.index[m] = int32(i + 1)
+		weight[i] = b.g.Weight(m)
 	}
-	if b.c.SpeedupCheck && makespan >= serial {
-		flat := append([]dag.NodeID(nil), n.Members...)
-		sort.Slice(flat, func(i, j int) bool { return b.topoPos[flat[i]] < b.topoPos[flat[j]] })
-		return fragment{lanes: [][]dag.NodeID{flat}, cost: serial}
+	lanes, makespan := b.lanes(n.Members, weight)
+	if b.err != nil {
+		return fragment{}
 	}
-	return fragment{lanes: lanes, cost: makespan}
+	for _, lane := range lanes {
+		for x, i := range lane {
+			lane[x] = n.Members[i]
+		}
+	}
+	return b.orSerial(n.Members, fragment{lanes: lanes, cost: makespan})
 }
 
-// etf runs an earliest-task-first list schedule of the subgraph induced
-// by members (external edges ignored: they are uniform for a clan and
-// handled by the enclosing cost model). It returns the lanes and the
-// internal makespan estimate.
-func (b *builder) etf(members []dag.NodeID) ([][]dag.NodeID, int64) {
-	for _, m := range members {
-		b.member[m] = true
+// lanes list-schedules the graph whose task i is the set of members
+// that b.index maps to i+1, of weight weight[i], with an edge between
+// two tasks whose members an edge joins, weighing the heaviest such
+// edge. Edges leaving the members are ignored: they are uniform for a
+// clan and handled by the enclosing cost model. At every step the
+// ready task with the earliest start, ties to the heavier task, then
+// the lower index, goes to the lowest lane that achieves that start.
+// lanes clears b.index on the members and returns each lane's task
+// indices in start order and the makespan.
+func (b *builder) lanes(members []dag.NodeID, weight []int64) ([][]dag.NodeID, int64) {
+	q := dag.New("")
+	for _, w := range weight {
+		q.AddNode(w)
 	}
-	defer func() {
-		for _, m := range members {
-			b.member[m] = false
-		}
-	}()
-
-	remainingPreds := map[dag.NodeID]int{}
 	for _, m := range members {
-		cnt := 0
-		for _, a := range b.g.Preds(m) {
-			if b.member[a.To] {
-				cnt++
-			}
-		}
-		remainingPreds[m] = cnt
-	}
-	ready := make([]dag.NodeID, 0, len(members))
-	for _, m := range members {
-		if remainingPreds[m] == 0 {
-			ready = append(ready, m)
-		}
-	}
-
-	proc := map[dag.NodeID]int{}
-	finish := map[dag.NodeID]int64{}
-	var laneFree []int64
-	var lanes [][]dag.NodeID
-	var makespan int64
-
-	for len(ready) > 0 {
-		if err := b.ctx.Err(); err != nil {
-			b.err = err
-			return [][]dag.NodeID{nil}, 0
-		}
-		// Earliest start over (ready task, lane) pairs, one fresh lane
-		// allowed; ties to the heavier task, then the smaller ID, then
-		// the lower lane.
-		bestT, bestL := -1, -1
-		var bestStart int64
-		for ti, t := range ready {
-			for l := 0; l <= len(lanes); l++ {
-				var start int64
-				if l < len(laneFree) {
-					start = laneFree[l]
-				}
-				for _, a := range b.g.Preds(t) {
-					if !b.member[a.To] {
-						continue
-					}
-					at := finish[a.To]
-					if proc[a.To] != l {
-						at += a.Weight
-					}
-					if at > start {
-						start = at
-					}
-				}
-				better := bestT == -1 || start < bestStart
-				if !better && start == bestStart && ti != bestT {
-					prev := ready[bestT]
-					if b.g.Weight(t) != b.g.Weight(prev) {
-						better = b.g.Weight(t) > b.g.Weight(prev)
-					} else {
-						better = t < prev
-					}
-				}
-				if better {
-					bestT, bestL, bestStart = ti, l, start
-				}
-			}
-		}
-		t := ready[bestT]
-		ready = append(ready[:bestT], ready[bestT+1:]...)
-		if bestL == len(lanes) {
-			lanes = append(lanes, nil)
-			laneFree = append(laneFree, 0)
-		}
-		proc[t] = bestL
-		f := bestStart + b.g.Weight(t)
-		finish[t] = f
-		laneFree[bestL] = f
-		lanes[bestL] = append(lanes[bestL], t)
-		if f > makespan {
-			makespan = f
-		}
-		for _, a := range b.g.Succs(t) {
-			if !b.member[a.To] {
+		i := dag.NodeID(b.index[m] - 1)
+		for _, a := range b.g.Succs(m) {
+			j := dag.NodeID(b.index[a.To] - 1)
+			if j < 0 || j == i {
 				continue
 			}
-			remainingPreds[a.To]--
-			if remainingPreds[a.To] == 0 {
-				ready = append(ready, a.To)
+			if w, ok := q.EdgeWeight(i, j); !ok {
+				q.MustAddEdge(i, j, a.Weight)
+			} else if a.Weight > w {
+				q.SetEdgeWeight(i, j, a.Weight)
 			}
 		}
 	}
-	if len(lanes) == 0 {
-		lanes = [][]dag.NodeID{nil}
+	for _, m := range members {
+		b.index[m] = 0
 	}
-	return lanes, makespan
+	pl, makespan, err := listsched.Select(b.ctx, q, func(x, y listsched.Cand) bool {
+		if x.Start != y.Start {
+			return x.Start < y.Start
+		}
+		if weight[x.Node] != weight[y.Node] {
+			return weight[x.Node] > weight[y.Node]
+		}
+		return x.Node < y.Node
+	})
+	if err != nil {
+		b.err = err
+		return nil, 0
+	}
+	return pl.Order, makespan
+}
+
+// orSerial returns f, or, when the speedup check is on and f does not
+// beat executing the members serially, the members on one lane in
+// topological order.
+func (b *builder) orSerial(members []dag.NodeID, f fragment) fragment {
+	var serial int64
+	for _, m := range members {
+		serial += b.g.Weight(m)
+	}
+	if !b.c.SpeedupCheck || f.cost < serial {
+		return f
+	}
+	flat := slices.Clone(members)
+	sort.Slice(flat, func(i, j int) bool { return b.topoPos[flat[i]] < b.topoPos[flat[j]] })
+	return fragment{lanes: [][]dag.NodeID{flat}, cost: serial}
 }

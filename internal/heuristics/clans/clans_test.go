@@ -1,9 +1,11 @@
 package clans
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"schedcomp/internal/dag"
 	"schedcomp/internal/gen"
@@ -155,5 +157,27 @@ func TestRegistered(t *testing.T) {
 	}
 	if s.Name() != "CLANS" {
 		t.Errorf("Name = %q", s.Name())
+	}
+}
+
+// TestLargePrimitiveClan schedules a 2000-node sparse random DAG whose
+// clan tree holds one primitive clan of 1962 nodes. A lane scheduler
+// that scanned every (ready task, lane) pair at every step took 9.9 s
+// here.
+func TestLargePrimitiveClan(t *testing.T) {
+	g := schedtest.RandomDAG(rand.New(rand.NewSource(2000)), 2000, 4.0/2000)
+	largest := 0
+	for _, n := range primitives(t, g) {
+		largest = max(largest, len(n.Members))
+	}
+	if largest != 1962 {
+		t.Fatalf("largest primitive clan has %d nodes, want 1962", largest)
+	}
+	start := time.Now()
+	if _, err := heuristics.RunContext(context.Background(), New(), g); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed, bound := time.Since(start), raceSlowdown*500*time.Millisecond; elapsed > bound {
+		t.Errorf("CLANS took %v, bound %v", elapsed, bound)
 	}
 }

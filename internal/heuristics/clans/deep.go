@@ -1,8 +1,6 @@
 package clans
 
 import (
-	"sort"
-
 	"schedcomp/internal/clan"
 	"schedcomp/internal/dag"
 )
@@ -13,10 +11,10 @@ import (
 // block through the ordinary bottom-up machinery, and then runs the
 // earliest-start list scheduler over the *quotient* — blocks as
 // macro-tasks with their fragment costs and the heaviest inter-block
-// edge as communication. This recovers clustering decisions the flat
-// per-task scheduler cannot see, which is the kind of strengthening
-// the paper alludes to when it says the comparison used "the best
-// version of CLANS".
+// edge as communication (see lanes). This recovers clustering
+// decisions the flat per-task scheduler cannot see, which is the kind
+// of strengthening the paper alludes to when it says the comparison
+// used "the best version of CLANS".
 //
 // It reports ok = false when no composite sub-clan exists (the flat
 // handler is then used).
@@ -49,121 +47,23 @@ func (b *builder) primitiveDeep(n *clan.Node) (fragment, bool) {
 		return fragment{}, false
 	}
 
-	// Quotient structure: block index per member, heaviest edge and
-	// predecessor counts between blocks.
-	blockOf := map[dag.NodeID]int{}
+	// The quotient is a DAG: modules are convex.
+	weight := make([]int64, len(blocks))
 	for i, blk := range blocks {
+		weight[i] = frags[i].cost
 		for _, m := range blk {
-			blockOf[m] = i
+			b.index[m] = int32(i + 1)
 		}
 	}
-	k := len(blocks)
-	comm := make(map[[2]int]int64)
-	predCount := make([]int, k)
-	succs := make([][]int, k)
-	for _, blk := range blocks {
-		for _, m := range blk {
-			for _, a := range b.g.Succs(m) {
-				j, inside := blockOf[a.To]
-				if !inside {
-					continue
-				}
-				i := blockOf[m]
-				if i == j {
-					continue
-				}
-				key := [2]int{i, j}
-				if _, known := comm[key]; !known {
-					predCount[j]++
-					succs[i] = append(succs[i], j)
-				}
-				if a.Weight > comm[key] {
-					comm[key] = a.Weight
-				}
-			}
-		}
-	}
-
-	// Earliest-start list schedule of the quotient (blocks cannot form
-	// cycles: modules are convex, so the quotient of a DAG is a DAG).
-	ready := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		if predCount[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	laneOf := make([]int, k)
-	finish := make([]int64, k)
-	var laneFree []int64
-	var laneBlocks [][]int
-	var makespan int64
-	for len(ready) > 0 {
-		bestI, bestL := -1, -1
-		var bestStart int64
-		for ri, blk := range ready {
-			for l := 0; l <= len(laneBlocks); l++ {
-				var start int64
-				if l < len(laneFree) {
-					start = laneFree[l]
-				}
-				for _, pre := range predsOf(blk, succs, k) {
-					t := finish[pre]
-					if laneOf[pre] != l {
-						t += comm[[2]int{pre, blk}]
-					}
-					if t > start {
-						start = t
-					}
-				}
-				better := bestI == -1 || start < bestStart
-				if !better && start == bestStart && ri != bestI {
-					if frags[blk].cost != frags[ready[bestI]].cost {
-						better = frags[blk].cost > frags[ready[bestI]].cost
-					} else {
-						better = blk < ready[bestI]
-					}
-				}
-				if better {
-					bestI, bestL, bestStart = ri, l, start
-				}
-			}
-		}
-		blk := ready[bestI]
-		ready = append(ready[:bestI], ready[bestI+1:]...)
-		if bestL == len(laneBlocks) {
-			laneBlocks = append(laneBlocks, nil)
-			laneFree = append(laneFree, 0)
-		}
-		laneOf[blk] = bestL
-		f := bestStart + frags[blk].cost
-		finish[blk] = f
-		laneFree[bestL] = f
-		laneBlocks[bestL] = append(laneBlocks[bestL], blk)
-		if f > makespan {
-			makespan = f
-		}
-		for _, j := range succs[blk] {
-			predCount[j]--
-			if predCount[j] == 0 {
-				ready = append(ready, j)
-			}
-		}
-	}
-
-	var serial int64
-	for _, m := range n.Members {
-		serial += b.g.Weight(m)
-	}
-	if b.c.SpeedupCheck && makespan >= serial {
-		flat := append([]dag.NodeID(nil), n.Members...)
-		sort.Slice(flat, func(i, j int) bool { return b.topoPos[flat[i]] < b.topoPos[flat[j]] })
-		return fragment{lanes: [][]dag.NodeID{flat}, cost: serial}, true
+	laneBlocks, makespan := b.lanes(n.Members, weight)
+	if b.err != nil {
+		return fragment{}, true
 	}
 
 	// Materialize: concatenate block home lanes per quotient lane;
 	// blocks' extra lanes become processors of their own.
 	lanes := make([][]dag.NodeID, 0, len(laneBlocks))
-	extra := make([][]dag.NodeID, 0, k)
+	extra := make([][]dag.NodeID, 0, len(blocks))
 	for _, lb := range laneBlocks {
 		size := 0
 		for _, blk := range lb {
@@ -176,21 +76,5 @@ func (b *builder) primitiveDeep(n *clan.Node) (fragment, bool) {
 		}
 		lanes = append(lanes, lane)
 	}
-	return fragment{lanes: append(lanes, extra...), cost: makespan}, true
-}
-
-// predsOf scans the quotient successor lists for blk's predecessors.
-// Quotients are tiny (a handful of blocks), so the linear scan is
-// cheaper than maintaining a reverse index.
-func predsOf(blk int, succs [][]int, k int) []int {
-	out := make([]int, 0, k)
-	for i := 0; i < k; i++ {
-		for _, j := range succs[i] {
-			if j == blk {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
+	return b.orSerial(n.Members, fragment{lanes: append(lanes, extra...), cost: makespan}), true
 }

@@ -15,7 +15,7 @@ func newBuilder(t *testing.T, g *dag.Graph) *builder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &builder{c: New(), g: g, ctx: context.Background(), topoPos: pos, member: make([]bool, g.NumNodes())}
+	return &builder{c: New(), g: g, ctx: context.Background(), topoPos: pos, index: make([]int32, g.NumNodes()), prim: (*builder).primitive}
 }
 
 func TestBoundaryCommPaperExample(t *testing.T) {

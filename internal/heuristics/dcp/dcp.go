@@ -4,7 +4,9 @@
 // partial schedule — zero mobility means the task sits on the current
 // dynamic critical path) and places it with gap insertion on the
 // processor that minimizes its start, ties to the lower index, opening
-// a new processor only when that is strictly earlier.
+// a new processor only when that is strictly earlier: the Best of the
+// list-scheduling kernel (internal/heuristics/listsched) under its gap
+// rule, which also keeps the timelines and the readiness countdown.
 //
 // Only ready tasks are placed, so every successor of an unplaced task
 // is unplaced, and an unplaced task's ALST is the schedule-length bound
@@ -26,14 +28,13 @@
 package dcp
 
 import (
-	"cmp"
 	"context"
-	"slices"
 
 	"schedcomp/internal/arena"
 	"schedcomp/internal/bitset"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/sched"
 )
 
@@ -50,12 +51,6 @@ func New() *DCP { return &DCP{} }
 // Name implements heuristics.Scheduler.
 func (d *DCP) Name() string { return "DCP" }
 
-type slot struct {
-	node   dag.NodeID
-	start  int64
-	finish int64
-}
-
 // Schedule implements heuristics.Scheduler.
 func (d *DCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 	return d.ScheduleContext(context.Background(), g)
@@ -65,10 +60,6 @@ func (d *DCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // with a cancellation poll once per committed task.
 func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
 	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -88,43 +79,15 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 
 	scratch := arena.Get()
 	defer scratch.Release()
+	k := listsched.New(g, scratch, true)
 	ts := make([]task, n)
-	ready := scratch.NodeIDs(n)[:0]
 	bl, tl = bl[:n], tl[:n]
 	for v := range ts {
 		id := dag.NodeID(v)
-		preds := g.Preds(id)
-		ts[v] = task{preds: preds, succs: g.Succs(id), w: g.Weight(id), bl: bl[v], aest: tl[v], missing: len(preds)}
-		if len(preds) == 0 {
-			ready = append(ready, id)
-		}
+		ts[v] = task{preds: g.Preds(id), succs: g.Succs(id), w: g.Weight(id), bl: bl[v], aest: tl[v]}
 	}
+	ready := append(scratch.NodeIDs(n)[:0], k.Sources()...)
 	rt := retimer{order: order, pos: pos, ts: ts, dirty: scratch.Bitset(n)}
-	var timelines [][]slot
-
-	// earliestOn returns the earliest start of t on processor p, whose
-	// timeline is tl: its data-ready time, pushed into the first gap
-	// that fits it. A fresh processor has an empty timeline, and every
-	// predecessor's message reaches it at full cost.
-	earliestOn := func(t *task, p int, tl []slot) int64 {
-		var ready int64
-		for _, a := range t.preds {
-			u := &ts[a.To]
-			at := u.finish
-			if u.proc != p {
-				at += a.Weight
-			}
-			ready = max(ready, at)
-		}
-		cur := ready
-		for _, s := range tl {
-			if cur+t.w <= s.start {
-				return cur
-			}
-			cur = max(cur, s.finish)
-		}
-		return cur
-	}
 
 	for len(ready) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -145,63 +108,21 @@ func (d *DCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		}
 		ready = ready[:last]
 
-		// Count pick as placed for its successors.
-		for _, a := range pt.succs {
-			t := &ts[a.To]
-			if t.missing--; t.missing == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-
-		// Processor choice: minimize start, ties to the lower index; a
-		// new processor opens only when strictly earlier.
-		bestP, bestStart := -1, int64(0)
-		for p := 0; p <= len(timelines); p++ {
-			var tl []slot
-			if p < len(timelines) {
-				tl = timelines[p]
-			}
-			st := earliestOn(pt, p, tl)
-			if bestP == -1 || st < bestStart {
-				bestP, bestStart = p, st
-			}
-		}
-		if bestP == len(timelines) {
-			timelines = append(timelines, nil)
-		}
-		pt.proc = bestP
-		pt.finish = bestStart + pt.w
-		timelines[bestP] = insertSlot(timelines[bestP], slot{node: pick, start: bestStart, finish: pt.finish})
-		rt.pin(pick, bestStart)
+		start, p := k.Best(pick)
+		k.Commit(pick, p, start)
+		ready = append(ready, k.Release(pick)...)
+		rt.pin(pick, start)
 	}
-
-	for p, tl := range timelines {
-		for _, s := range tl {
-			pl.Assign(s.node, p)
-		}
-	}
-	return pl, nil
-}
-
-// insertSlot inserts s into tl, which is ordered by start, before the
-// first slot that starts no earlier.
-func insertSlot(tl []slot, s slot) []slot {
-	i, _ := slices.BinarySearchFunc(tl, s.start, func(x slot, start int64) int {
-		return cmp.Compare(x.start, start)
-	})
-	return slices.Insert(tl, i, s)
+	return k.Placement(), nil
 }
 
 // task is one task's state during a run.
 type task struct {
-	preds   []dag.Arc
-	succs   []dag.Arc
-	w       int64 // execution weight
-	bl      int64 // b-level: while unplaced, ALST is the bound minus it
-	aest    int64 // AEST; the committed start once placed
-	finish  int64
-	proc    int
-	missing int // unplaced predecessors
+	preds []dag.Arc
+	succs []dag.Arc
+	w     int64 // execution weight
+	bl    int64 // b-level: while unplaced, ALST is the bound minus it
+	aest  int64 // AEST; the committed start once placed
 }
 
 // retimer keeps every AEST exact across commits. AEST(v) is the

@@ -5,6 +5,13 @@ import (
 	"schedcomp/internal/sched"
 )
 
+// slot is a scheduled interval on a reference processor timeline.
+type slot struct {
+	node   dag.NodeID
+	start  int64
+	finish int64
+}
+
 // referenceSchedule is DCP as it reads in Kwok & Ahmad's terms, kept
 // as the test oracle: every step recomputes AEST forward and ALST
 // backward over the whole partial schedule, and ranks the ready tasks

@@ -52,10 +52,11 @@ func (d *DLS) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		return nil, err
 	}
 	// Greatest dynamic level, then lower ID.
-	return listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
+	pl, _, err := listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
 		if da, db := level[a.Node]-a.Start, level[b.Node]-b.Start; da != db {
 			return da > db
 		}
 		return a.Node < b.Node
 	})
+	return pl, err
 }

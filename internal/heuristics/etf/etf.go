@@ -49,7 +49,7 @@ func (e *ETF) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		return nil, err
 	}
 	// Earliest start, then higher level, then lower ID.
-	return listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
+	pl, _, err := listsched.Select(ctx, g, func(a, b listsched.Cand) bool {
 		if a.Start != b.Start {
 			return a.Start < b.Start
 		}
@@ -58,4 +58,5 @@ func (e *ETF) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placeme
 		}
 		return a.Node < b.Node
 	})
+	return pl, err
 }

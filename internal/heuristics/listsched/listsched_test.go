@@ -124,3 +124,32 @@ func TestChainIntoSinkIsLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestIndependentTasksAreQuadratic schedules 4000 independent tasks
+// with ETF and DLS. Every commit opens a processor on which every other
+// ready task is cached; recomputing each of them with a Best that scans
+// the open processors would be cubic, about 6.6 s here.
+func TestIndependentTasksAreQuadratic(t *testing.T) {
+	const n = 4000
+	g := dag.New("independent")
+	for v := 0; v < n; v++ {
+		g.AddNode(int64(1 + v%7))
+	}
+	if _, err := g.BLevels(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []heuristics.Scheduler{etf.New(), dls.New()} {
+		start := time.Now()
+		pl, err := s.Schedule(g)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if err := pl.Check(g); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if bound := raceSlowdown * 500 * time.Millisecond; elapsed > bound {
+			t.Errorf("%s took %v on %d independent tasks, bound %v", s.Name(), elapsed, n, bound)
+		}
+	}
+}

@@ -7,7 +7,9 @@
 // orders the nodes by comparing those lists, and then schedules them
 // one by one onto the processor that allows the earliest start time,
 // using insertion into idle gaps; a new processor is opened when it
-// strictly beats every existing one.
+// strictly beats every existing one. The placement is the Best and
+// Commit of the list-scheduling kernel (internal/heuristics/listsched)
+// under its gap rule.
 //
 // Ordering note: the paper's Figure 9 says to sort both the per-node
 // lists and the global list "in decreasing order", which would schedule
@@ -24,10 +26,11 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 
+	"schedcomp/internal/arena"
 	"schedcomp/internal/dag"
 	"schedcomp/internal/heuristics"
+	"schedcomp/internal/heuristics/listsched"
 	"schedcomp/internal/sched"
 )
 
@@ -49,13 +52,6 @@ func New() *MCP { return &MCP{Insertion: true} }
 // Name implements heuristics.Scheduler.
 func (m *MCP) Name() string { return "MCP" }
 
-// slot is a scheduled interval on a processor timeline.
-type slot struct {
-	node   dag.NodeID
-	start  int64
-	finish int64
-}
-
 // Schedule implements heuristics.Scheduler.
 func (m *MCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 	return m.ScheduleContext(context.Background(), g)
@@ -64,103 +60,21 @@ func (m *MCP) Schedule(g *dag.Graph) (*sched.Placement, error) {
 // ScheduleContext implements heuristics.ContextScheduler: Schedule
 // with a cancellation poll once per committed task.
 func (m *MCP) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placement, error) {
-	n := g.NumNodes()
-	pl := sched.NewPlacement(n)
-	if n == 0 {
-		return pl, nil
-	}
 	order, err := m.order(g)
 	if err != nil {
 		return nil, err
 	}
-
-	proc := make([]int, n) // node -> processor
-	start := make([]int64, n)
-	finish := make([]int64, n)
-	var timelines [][]slot // per processor, sorted by start
-
+	scratch := arena.Get()
+	defer scratch.Release()
+	k := listsched.New(g, scratch, m.Insertion)
 	for _, v := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Earliest data-ready time on a fresh processor: every incoming
-		// edge pays communication.
-		var bound int64
-		for _, a := range g.Preds(v) {
-			t := finish[a.To] + a.Weight
-			if t > bound {
-				bound = t
-			}
-		}
-		bestP, bestStart := -1, int64(0)
-		for p := range timelines {
-			st := m.earliestOn(g, timelines[p], proc, finish, v, p)
-			if bestP == -1 || st < bestStart {
-				bestP, bestStart = p, st
-			}
-		}
-		if bestP == -1 || bound < bestStart {
-			// A new processor strictly beats every existing one.
-			bestP, bestStart = len(timelines), bound
-			timelines = append(timelines, nil)
-		}
-		proc[v] = bestP
-		start[v] = bestStart
-		finish[v] = bestStart + g.Weight(v)
-		timelines[bestP] = insertSlot(timelines[bestP], slot{node: v, start: start[v], finish: finish[v]})
+		start, p := k.Best(v)
+		k.Commit(v, p, start)
 	}
-
-	for p, tl := range timelines {
-		for _, s := range tl {
-			pl.Assign(s.node, p)
-		}
-	}
-	return pl, nil
-}
-
-// earliestOn computes the earliest start of v on processor p given the
-// current timeline, honouring communication costs from predecessors on
-// other processors. With Insertion enabled it may use an idle gap.
-func (m *MCP) earliestOn(g *dag.Graph, tl []slot, proc []int, finish []int64, v dag.NodeID, p int) int64 {
-	var ready int64
-	for _, a := range g.Preds(v) {
-		t := finish[a.To]
-		if proc[a.To] != p {
-			t += a.Weight
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	w := g.Weight(v)
-	if !m.Insertion {
-		if len(tl) > 0 {
-			if f := tl[len(tl)-1].finish; f > ready {
-				return f
-			}
-		}
-		return ready
-	}
-	// Scan gaps in start order for the first hole of length ≥ w at or
-	// after ready.
-	cur := ready
-	for _, s := range tl {
-		if cur+w <= s.start {
-			return cur
-		}
-		if s.finish > cur {
-			cur = s.finish
-		}
-	}
-	return cur
-}
-
-func insertSlot(tl []slot, s slot) []slot {
-	i := sort.Search(len(tl), func(i int) bool { return tl[i].start >= s.start })
-	tl = append(tl, slot{})
-	copy(tl[i+1:], tl[i:])
-	tl[i] = s
-	return tl
+	return k.Placement(), nil
 }
 
 // order returns the MCP scheduling order: nodes sorted by ascending

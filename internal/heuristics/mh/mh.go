@@ -92,7 +92,7 @@ func (m *MH) ScheduleContext(ctx context.Context, g *dag.Graph) (*sched.Placemen
 	})
 	scratch := arena.Get()
 	defer scratch.Release()
-	k := listsched.New(g, scratch)
+	k := listsched.New(g, scratch, false)
 	for _, v := range k.Sources() {
 		free.Push(v)
 	}

@@ -131,8 +131,9 @@ type Cache struct {
 	collisions *obs.Counter
 
 	// Per-heuristic hit/miss/coalesced counters, cached so the hot
-	// path skips the registry's mutex. The heuristic label set is the
-	// fixed registry of five paper heuristics — bounded cardinality.
+	// path skips the registry's mutex. The heuristic label takes every
+	// registered heuristic name plus "quality:best" — bounded
+	// cardinality.
 	perHeuristic sync.Map // string -> *heuristicCounters
 }
 
